@@ -1,13 +1,12 @@
 .PHONY: all build test bench bench-quick bench-smoke bench-trajectory bench-diff \
 	bench-diff-gate examples regress regress-exact regress-perf regress-bless \
-	regress-paper regress-bless-paper regress-equiv regress-bless-equiv \
-	sweep-epsilon trace-paper queue-crosscheck shard-crosscheck churn-crosscheck \
-	simcheck-smoke simcheck-selftest trace-smoke fmt fmt-check deps deps-fmt clean
+	regress-paper regress-bless-paper trace-paper simcheck-smoke simcheck-selftest \
+	trace-smoke fmt fmt-check deps deps-fmt clean
 
 all: build
 
-# Generated result files (suite results, crosscheck matrices, micro-bench
-# output) land here instead of littering the repo root. Never committed.
+# Generated result files (suite results, micro-bench output) land here
+# instead of littering the repo root. Never committed.
 ART = regress/artifacts
 
 build:
@@ -62,38 +61,6 @@ regress-perf:
 	@mkdir -p $(ART)
 	dune exec bin/simbench.exe -- check --perf --out $(ART)/simbench-results.json
 
-# Statistical-equivalence gate for epsilon-relaxed dispatch: for each entry,
-# K seeds exact vs K seeds relaxed at the epsilon pinned in the blessed
-# regress/baselines/relaxed-*.json, gated on relative-mean shift and a
-# Mann-Whitney rank check (lib/regress/stat_gate.ml). The pr-tier entries
-# are re-based on the tiny 4-socket machine (threads shard by socket, so on
-# the 192t box their threads all sit in one shard and relaxation would be
-# vacuous); the paper-scale entry exercises the real topology. The bless
-# variant re-records the blessed samples — review the diff before
-# committing, same policy as regress-bless.
-EQUIV_PR_ENTRIES = ll-ebr-af-n8,sl-token-n32,occ-hp-n32
-EQUIV_PAPER_ENTRY = paper-je-ebr-n192
-EQUIV_SEEDS = 5
-# The gate pins the largest window that is still statistically invisible.
-# 25 us is not it: on the tiny machine it shifts token-EBR garbage peaks
-# +6% past the 5% mean gate, and on the 192-thread paper entry it lifts
-# throughput by a consistent +1.7% that fully separates the 5v5 seed ranks
-# (Mann-Whitney |z| = 2.611 > 2.576). Both are real directional effects of
-# the relaxation, not noise — see EXPERIMENTS.md. 5 us passes every check
-# on every gated entry.
-EQUIV_EPSILON = 5000
-regress-equiv:
-	dune exec bin/simbench.exe -- equiv --only $(EQUIV_PR_ENTRIES) \
-		--machine tiny --seeds $(EQUIV_SEEDS)
-	dune exec bin/simbench.exe -- equiv --only $(EQUIV_PAPER_ENTRY) --tier paper \
-		--seeds $(EQUIV_SEEDS)
-
-regress-bless-equiv:
-	dune exec bin/simbench.exe -- equiv --only $(EQUIV_PR_ENTRIES) \
-		--machine tiny --seeds $(EQUIV_SEEDS) --epsilon $(EQUIV_EPSILON) --bless
-	dune exec bin/simbench.exe -- equiv --only $(EQUIV_PAPER_ENTRY) --tier paper \
-		--seeds $(EQUIV_SEEDS) --epsilon $(EQUIV_EPSILON) --bless
-
 # Model checker: explore adversarial schedules across every scenario with a
 # bounded budget (350 seeds x 3 strategies = 1050+ distinct schedules per
 # scenario, ~20 s at -j 4), failing on any oracle violation; counterexample
@@ -132,96 +99,6 @@ regress-paper:
 trace-paper:
 	dune exec bin/simbench.exe -- run --only paper-je-ebr-n192 --trace paper-traces \
 		--out paper-trace-results.json --bench-out paper-trace-bench.json
-
-# Sharded event-loop / event-queue cross-validation matrix: shards {1, 4}
-# x queue {heap, wheel} must all produce byte-identical result JSONs (the
-# four configurations differ only in host time), on four pr-tier entries
-# (epoch reclaimers plus one hazard-pointer entry) and one paper-scale
-# 192-thread entry. Subsumes the old queue-crosscheck target; mirrors the
-# jobs=1 vs jobs=2 diff job.
-CROSSCHECK_ENTRIES = ll-ebr-n1,sl-token-n32,occ-ebr-n32,ll-hp-n8
-CROSSCHECK_PAPER_ENTRY = paper-je-ebr-n192
-CROSSCHECK_CHURN_ENTRIES = ll-churn-rolling-n8,sl-churn-resize-n32
-shard-crosscheck:
-	@mkdir -p $(ART)
-	for q in heap wheel; do for s in 1 4; do \
-		dune exec bin/simbench.exe -- run --only $(CROSSCHECK_ENTRIES) \
-			--queue $$q --shards $$s --out $(ART)/crosscheck-$$q-s$$s.json \
-			--bench-out $(ART)/crosscheck-$$q-s$$s-bench.json || exit 1; \
-		dune exec bin/simbench.exe -- run --only $(CROSSCHECK_PAPER_ENTRY) \
-			--queue $$q --shards $$s --out $(ART)/crosscheck-paper-$$q-s$$s.json \
-			--bench-out $(ART)/crosscheck-paper-$$q-s$$s-bench.json || exit 1; \
-	done; done
-	# epsilon=0 must route through the relaxed code path and still produce
-	# the exact bytes: one extra sharded row, byte-diffed like the rest.
-	dune exec bin/simbench.exe -- run --only $(CROSSCHECK_ENTRIES) \
-		--queue heap --shards 4 --epsilon 0 --out $(ART)/crosscheck-heap-s4-eps0.json \
-		--bench-out $(ART)/crosscheck-heap-s4-eps0-bench.json
-	dune exec bin/simbench.exe -- run --only $(CROSSCHECK_PAPER_ENTRY) \
-		--queue heap --shards 4 --epsilon 0 --out $(ART)/crosscheck-paper-heap-s4-eps0.json \
-		--bench-out $(ART)/crosscheck-paper-heap-s4-eps0-bench.json
-	# Churn rows at epsilon=0: retire/respawn teardown events must survive
-	# the relaxed dispatch path byte-exactly too (lifecycle events are
-	# ordinary scheduler events, never relaxation casualties).
-	dune exec bin/simbench.exe -- run --only $(CROSSCHECK_CHURN_ENTRIES) \
-		--queue heap --shards 1 --out $(ART)/crosscheck-churn-heap-s1.json \
-		--bench-out $(ART)/crosscheck-churn-heap-s1-bench.json
-	dune exec bin/simbench.exe -- run --only $(CROSSCHECK_CHURN_ENTRIES) \
-		--queue heap --shards 4 --epsilon 0 --out $(ART)/crosscheck-churn-heap-s4-eps0.json \
-		--bench-out $(ART)/crosscheck-churn-heap-s4-eps0-bench.json
-	cmp $(ART)/crosscheck-heap-s1.json $(ART)/crosscheck-heap-s4.json
-	cmp $(ART)/crosscheck-heap-s1.json $(ART)/crosscheck-wheel-s1.json
-	cmp $(ART)/crosscheck-heap-s1.json $(ART)/crosscheck-wheel-s4.json
-	cmp $(ART)/crosscheck-heap-s1.json $(ART)/crosscheck-heap-s4-eps0.json
-	cmp $(ART)/crosscheck-paper-heap-s1.json $(ART)/crosscheck-paper-heap-s4.json
-	cmp $(ART)/crosscheck-paper-heap-s1.json $(ART)/crosscheck-paper-wheel-s1.json
-	cmp $(ART)/crosscheck-paper-heap-s1.json $(ART)/crosscheck-paper-wheel-s4.json
-	cmp $(ART)/crosscheck-paper-heap-s1.json $(ART)/crosscheck-paper-heap-s4-eps0.json
-	cmp $(ART)/crosscheck-churn-heap-s1.json $(ART)/crosscheck-churn-heap-s4-eps0.json
-
-# Back-compat alias for the pre-sharding target name.
-queue-crosscheck: shard-crosscheck
-
-# Thread-lifecycle determinism matrix: the heaviest churn entry (32 threads
-# under a rolling restart, retiring and respawning mid-measurement) must
-# produce byte-identical result JSONs across queue {heap, wheel} x shards
-# {1, 4}. Retire/respawn and teardown flushes are ordinary scheduler events,
-# so no host-side execution detail may leak into virtual time through the
-# lifecycle paths.
-CHURN_CROSSCHECK_ENTRY = occ-churn-rolling-n32
-churn-crosscheck:
-	@mkdir -p $(ART)
-	for q in heap wheel; do for s in 1 4; do \
-		dune exec bin/simbench.exe -- run --only $(CHURN_CROSSCHECK_ENTRY) \
-			--queue $$q --shards $$s --out $(ART)/churn-crosscheck-$$q-s$$s.json \
-			--bench-out $(ART)/churn-crosscheck-$$q-s$$s-bench.json || exit 1; \
-	done; done
-	cmp $(ART)/churn-crosscheck-heap-s1.json $(ART)/churn-crosscheck-heap-s4.json
-	cmp $(ART)/churn-crosscheck-heap-s1.json $(ART)/churn-crosscheck-wheel-s1.json
-	cmp $(ART)/churn-crosscheck-heap-s1.json $(ART)/churn-crosscheck-wheel-s4.json
-
-# Shards x epsilon sweep on the paper-scale headline entry: does relaxed
-# dispatch buy host wall-clock at n192, and at what window? Results and
-# per-entry wall_ns land under $(ART)/sweep/; the shards=1 rows are the
-# control (a single shard cannot relax). The measured conclusion lives in
-# EXPERIMENTS.md "Relaxed-order dispatch".
-SWEEP_ENTRY = paper-je-ebr-n192
-SWEEP_SHARDS = 1 4
-SWEEP_EPSILONS = 0 1000 5000 25000 100000
-sweep-epsilon:
-	@mkdir -p $(ART)/sweep
-	for s in $(SWEEP_SHARDS); do for e in $(SWEEP_EPSILONS); do \
-		echo "== shards $$s epsilon $$e"; \
-		dune exec bin/simbench.exe -- run --only $(SWEEP_ENTRY) --tier paper \
-			--shards $$s --epsilon $$e \
-			--out $(ART)/sweep/results-s$$s-e$$e.json \
-			--bench-out $(ART)/sweep/bench-s$$s-e$$e.json || exit 1; \
-	done; done
-	@echo "wall_ns per configuration:"
-	@for s in $(SWEEP_SHARDS); do for e in $(SWEEP_EPSILONS); do \
-		printf "  shards %s epsilon %-7s " $$s $$e; \
-		grep -o '"total_wall_ns": [0-9]*' $(ART)/sweep/bench-s$$s-e$$e.json; \
-	done; done
 
 # Gating form of bench-diff: fail on >25% wall-clock regression of any
 # suite entry vs the cached previous BENCH file. CI skips the gate when the

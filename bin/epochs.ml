@@ -87,25 +87,6 @@ let trace_capacity_arg =
           "Ring-buffer capacity of the trace recorder, in events; the newest $(docv) events \
            are kept and older ones are dropped.")
 
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Per-socket event-loop shard count. Defaults to \\$(b,EPOCHS_SHARDS) when set, else \
-           1 (the unsharded loop). Results are byte-identical at any shard count.")
-
-let epsilon_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "epsilon" ] ~docv:"NS"
-        ~doc:
-          "Relaxed-dispatch window in virtual ns (sharded loops only). Defaults to \
-           \\$(b,EPOCHS_EPSILON) when set, else 0 (exact dispatch). Relaxed results are \
-           digest-distinct from exact ones and are gated statistically, not byte-compared.")
-
 let churn_arg =
   Arg.(
     value
@@ -119,35 +100,47 @@ let churn_arg =
 
 let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_jobs ()
 
-let config ?shards ?epsilon ?churn ds smr alloc threads machine keys duration trials seed validate
-    timeline af_drain zipf =
+(* Report a bad command line and exit 2, as cmdliner does for its own
+   usage errors — never with an uncaught exception. *)
+let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("epochs: " ^ msg); exit 2) fmt
+
+let config ?churn ds smr alloc threads machine keys duration trials seed validate timeline
+    af_drain zipf =
   let topology =
     match Simcore.Topology.by_name machine with
     | Some t -> t
-    | None -> failwith (Printf.sprintf "unknown machine %S" machine)
+    | None -> die "--machine: unknown machine %S (`epochs list` names them)" machine
   in
-  let churn = Option.map Runtime.Config.churn_of_spec churn in
-  {
-    Runtime.Config.default with
-    Runtime.Config.ds;
-    smr;
-    alloc;
-    threads;
-    topology;
-    key_range = keys;
-    duration_ns = duration * 1_000_000;
-    grace_ns = duration * 1_000_000;
-    trials;
-    seed;
-    validate;
-    timeline;
-    af_drain;
-    key_dist =
-      (match zipf with None -> Runtime.Config.Uniform | Some theta -> Runtime.Config.Zipf theta);
-    shards;
-    epsilon;
-    churn;
-  }
+  let churn =
+    Option.map
+      (fun spec ->
+        match Runtime.Config.churn_of_spec spec with
+        | plan -> plan
+        | exception Failure msg -> die "%s" msg)
+      churn
+  in
+  let cfg =
+    {
+      Runtime.Config.default with
+      Runtime.Config.ds;
+      smr;
+      alloc;
+      threads;
+      topology;
+      key_range = keys;
+      duration_ns = duration * 1_000_000;
+      grace_ns = duration * 1_000_000;
+      trials;
+      seed;
+      validate;
+      timeline;
+      af_drain;
+      key_dist =
+        (match zipf with None -> Runtime.Config.Uniform | Some theta -> Runtime.Config.Zipf theta);
+      churn;
+    }
+  in
+  match Runtime.Config.check_churn cfg with Ok () -> cfg | Error msg -> die "%s" msg
 
 let maybe_write_svg (t : Runtime.Trial.t) = function
   | None -> ()
@@ -210,16 +203,10 @@ let print_trial (t : Runtime.Trial.t) ~timeline ~garbage =
 
 let run_cmd =
   let run ds smr alloc threads machine keys duration trials seed validate timeline garbage
-      af_drain zipf svg jobs trace trace_capacity shards epsilon churn =
-    (match shards with
-    | Some n when n < 1 -> failwith (Printf.sprintf "--shards must be at least 1, got %d" n)
-    | _ -> ());
-    (match epsilon with
-    | Some n when n < 0 -> failwith (Printf.sprintf "--epsilon must be non-negative, got %d" n)
-    | _ -> ());
+      af_drain zipf svg jobs trace trace_capacity churn =
     let cfg =
-      config ?shards ?epsilon ?churn ds smr alloc threads machine keys duration trials seed
-        validate timeline af_drain zipf
+      config ?churn ds smr alloc threads machine keys duration trials seed validate timeline
+        af_drain zipf
     in
     let trials =
       match trace with
@@ -255,7 +242,7 @@ let run_cmd =
       const run $ ds_arg $ smr_arg $ alloc_arg $ threads_arg $ machine_arg $ keys_arg
       $ duration_arg $ trials_arg $ seed_arg $ validate_arg $ timeline_arg $ garbage_arg
       $ drain_arg $ zipf_arg $ svg_arg $ jobs_arg $ trace_arg $ trace_capacity_arg
-      $ shards_arg $ epsilon_arg $ churn_arg)
+      $ churn_arg)
 
 let comma_list s = String.split_on_char ',' s |> List.map String.trim
 
@@ -291,13 +278,18 @@ let sweep_cmd =
        trials-per-cell) and let Pool reassemble it in grid order. *)
     let cells =
       Runtime.Pool.map ~jobs
-        (fun (smr, n) ->
-          let cfg =
-            config ?churn ds smr alloc n machine keys duration trials seed false false 1 None
-          in
+        (fun cfg ->
           let s = Runtime.Trial.throughput_summary (Runtime.Runner.run ~jobs:1 cfg) in
           Report.Table.mops s.Runtime.Trial.mean)
-        (List.concat_map (fun smr -> List.map (fun n -> (smr, n)) threads) smrs)
+        (* Built (and checked) before any worker starts, so a bad --churn exits
+           from the main domain. *)
+        (List.concat_map
+           (fun smr ->
+             List.map
+               (fun n ->
+                 config ?churn ds smr alloc n machine keys duration trials seed false false 1 None)
+               threads)
+           smrs)
     in
     List.iteri
       (fun i smr ->

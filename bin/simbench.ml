@@ -88,26 +88,6 @@ let only_arg =
     & info [ "only" ] ~docv:"IDS"
         ~doc:"Comma-separated entry ids to run, looked up across every tier. Overrides --tier.")
 
-let queue_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "queue" ] ~docv:"KIND"
-        ~doc:
-          "Scheduler event-queue implementation: $(b,heap) or $(b,wheel). Defaults to the \
-           $(b,EPOCHS_EVENT_QUEUE) environment variable, else the wheel. Results are \
-           bit-identical under either; the flag exists for cross-validation and bisection.")
-
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Per-socket event-loop shard count. Defaults to the $(b,EPOCHS_SHARDS) \
-           environment variable, else 1 (the unsharded loop). Results are byte-identical \
-           at any shard count; the flag exists for cross-validation and performance runs.")
-
 let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_jobs ()
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
@@ -131,62 +111,6 @@ let select_entries ~tier ~only entries =
           die "simbench: no entries in tier %S (tiers present: %s)" tier
             (String.concat ", " (Regress.Suite.tier_names entries))
       | es -> es)
-
-let apply_queue ~queue entries =
-  match queue with
-  | None -> entries
-  | Some s -> (
-      match Simcore.Event_queue.of_string s with
-      | Error msg -> die "simbench: %s" msg
-      | Ok k ->
-          List.map
-            (fun (e : Regress.Suite.entry) ->
-              {
-                e with
-                Regress.Suite.config =
-                  { e.Regress.Suite.config with Runtime.Config.event_queue = Some k };
-              })
-            entries)
-
-let apply_shards ~shards entries =
-  match shards with
-  | None -> entries
-  | Some n when n < 1 -> die "simbench: --shards must be at least 1, got %d" n
-  | Some n ->
-      List.map
-        (fun (e : Regress.Suite.entry) ->
-          {
-            e with
-            Regress.Suite.config =
-              { e.Regress.Suite.config with Runtime.Config.shards = Some n };
-          })
-        entries
-
-let epsilon_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "epsilon" ] ~docv:"NS"
-        ~doc:
-          "Relaxed-dispatch window in virtual ns (sharded loops only). Defaults to the \
-           $(b,EPOCHS_EPSILON) environment variable, else 0 (exact). Relaxed results are \
-           digest-distinct: gate them with $(b,simbench equiv), not the exact digest gate. \
-           $(b,--epsilon 0) explicitly pins exact dispatch through the relaxed code path and \
-           must stay byte-identical.")
-
-let apply_epsilon ~epsilon entries =
-  match epsilon with
-  | None -> entries
-  | Some n when n < 0 -> die "simbench: --epsilon must be non-negative, got %d" n
-  | Some n ->
-      List.map
-        (fun (e : Regress.Suite.entry) ->
-          {
-            e with
-            Regress.Suite.config =
-              { e.Regress.Suite.config with Runtime.Config.epsilon = Some n };
-          })
-        entries
 
 (* Wall-clock and GC self-measurement. Virtual-time results are
    deterministic; wall_ns and the allocation counters are the deliberately
@@ -337,16 +261,13 @@ let run_suite ?trace_dir ~jobs entries =
   (results, timings, total.wall_ns)
 
 let run_cmd =
-  let run suite out bench_out jobs trace_dir tier only queue shards epsilon =
+  let run suite out bench_out jobs trace_dir tier only =
     let jobs = resolve_jobs jobs in
     (match trace_dir with
     | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
     | _ -> ());
     let entries, suite_label = load_suite suite in
-    let entries =
-      apply_epsilon ~epsilon
-        (apply_shards ~shards (apply_queue ~queue (select_entries ~tier ~only entries)))
-    in
+    let entries = select_entries ~tier ~only entries in
     let results, timings, total_wall_ns = run_suite ?trace_dir ~jobs entries in
     print_string (summary_table results);
     write_results ~out ~suite_label results;
@@ -360,22 +281,19 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run the suite and write its results as canonical JSON.")
     Term.(
       const run $ suite_arg $ out_arg $ bench_out_arg $ jobs_arg $ trace_dir_arg $ tier_arg
-      $ only_arg $ queue_arg $ shards_arg $ epsilon_arg)
+      $ only_arg)
 
 let check_cmd =
   let exact_flag = Arg.(value & flag & info [ "exact" ] ~doc:"Digest gate: bit-exact determinism.") in
   let perf_flag =
     Arg.(value & flag & info [ "perf" ] ~doc:"Tolerance gate: throughput and peak garbage.")
   in
-  let run suite baselines out bench_out jobs exact perf tier only queue shards epsilon =
+  let run suite baselines out bench_out jobs exact perf tier only =
     (* No mode flag means both gates. *)
     let exact, perf = if exact || perf then (exact, perf) else (true, true) in
     let jobs = resolve_jobs jobs in
     let entries, suite_label = load_suite suite in
-    let entries =
-      apply_epsilon ~epsilon
-        (apply_shards ~shards (apply_queue ~queue (select_entries ~tier ~only entries)))
-    in
+    let entries = select_entries ~tier ~only entries in
     let results, timings, total_wall_ns = run_suite ~jobs entries in
     let findings =
       List.concat_map
@@ -402,7 +320,7 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Run the suite and compare against the golden baselines.")
     Term.(
       const run $ suite_arg $ baselines_arg $ out_arg $ bench_out_arg $ jobs_arg $ exact_flag
-      $ perf_flag $ tier_arg $ only_arg $ queue_arg $ shards_arg $ epsilon_arg)
+      $ perf_flag $ tier_arg $ only_arg)
 
 let bless_cmd =
   let run suite baselines seeds jobs tier only =
@@ -445,258 +363,6 @@ let bless_cmd =
   Cmd.v
     (Cmd.info "bless" ~doc:"Regenerate the golden baselines (with multi-seed tolerances).")
     Term.(const run $ suite_arg $ baselines_arg $ seeds_arg $ jobs_arg $ tier_arg $ only_arg)
-
-(* Statistical-equivalence gate for relaxed dispatch. Relaxed (epsilon > 0)
-   runs are digest-distinct from exact ones by design, so the exact gate
-   cannot cover them; instead each entry runs K seeds under exact dispatch
-   and the same K seeds under the relaxation, and the two sample sets must
-   be statistically indistinguishable on the headline metrics (bounded
-   mean shift + Mann-Whitney rank test, see Regress.Stat_gate). `--bless`
-   pins the tested epsilon in regress/baselines/relaxed-<id>.json; a later
-   bare `equiv` re-derives everything at that pinned epsilon and
-   additionally bounds drift of the relaxed means from the blessing. *)
-let equiv_cmd =
-  let bless_flag =
-    Arg.(
-      value & flag
-      & info [ "bless" ]
-          ~doc:
-            "Write regress/baselines/relaxed-<id>.json (pinning $(b,--epsilon)) instead of \
-             gating against it. Refuses to bless a non-equivalent relaxation.")
-  in
-  let eps_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "epsilon" ] ~docv:"NS"
-          ~doc:
-            "Relaxation window to test, virtual ns (> 0). Required with $(b,--bless); \
-             defaults to each entry's blessed pinned value otherwise.")
-  in
-  let equiv_seeds_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "seeds" ] ~docv:"K"
-          ~doc:"Seeds per entry and mode (exact and relaxed each run $(docv) trials).")
-  in
-  let equiv_shards_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Per-socket shard count used for BOTH modes. Relaxation only changes dispatch on \
-             a sharded loop, and exact sharded results are byte-identical to unsharded ones, \
-             so sharding both sides keeps the comparison honest without changing the exact \
-             sample.")
-  in
-  let equiv_machine_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "machine" ] ~docv:"NAME"
-          ~doc:
-            "Override every entry's topology for BOTH modes (e.g. $(b,tiny)). Threads are \
-             sharded by socket, so a small entry whose threads all land on socket 0 of the \
-             paper machine exercises no cross-shard dispatch at all; re-basing it on the tiny \
-             4-socket machine makes the exact-vs-relaxed comparison non-vacuous.")
-  in
-  let metric_names = [ "throughput"; "peak_epoch_garbage"; "free_p99_ns" ] in
-  let value_of (t : Runtime.Trial.t) = function
-    | "throughput" -> t.Runtime.Trial.throughput
-    | "peak_epoch_garbage" -> float_of_int t.Runtime.Trial.peak_epoch_garbage
-    | "free_p99_ns" ->
-        float_of_int (Simcore.Histogram.percentile t.Runtime.Trial.free_hist 99.)
-    | m -> die "simbench: unknown equiv metric %S" m
-  in
-  let run suite baselines seeds shards machine jobs tier only epsilon bless =
-    if seeds < 2 then die "simbench: equiv needs at least 2 seeds per mode, got %d" seeds;
-    if shards < 1 then die "simbench: equiv --shards must be at least 1, got %d" shards;
-    (match epsilon with
-    | Some n when n <= 0 -> die "simbench: equiv --epsilon must be positive, got %d" n
-    | _ -> ());
-    let topology =
-      match machine with
-      | None -> None
-      | Some name -> (
-          match Simcore.Topology.by_name name with
-          | Some t -> Some t
-          | None -> die "simbench: unknown machine %S" name)
-    in
-    let jobs = resolve_jobs jobs in
-    let entries, _ = load_suite suite in
-    let entries = select_entries ~tier ~only entries in
-    (* Resolve each entry's window: the flag wins; otherwise the blessed
-       pinned value. The blessed record is kept for tolerance/drift. *)
-    let plan =
-      List.map
-        (fun (e : Regress.Suite.entry) ->
-          let blessed =
-            match Regress.Stat_gate.load ~dir:baselines e.Regress.Suite.id with
-            | Ok b -> Some b
-            | Error msg -> (
-                match epsilon with
-                | Some _ -> None
-                | None -> die "simbench: %s" msg)
-          in
-          let eps =
-            match (epsilon, blessed) with
-            | Some n, _ -> n
-            | None, Some b -> b.Regress.Stat_gate.epsilon
-            | None, None -> assert false
-          in
-          (e, eps, if bless then None else blessed))
-        entries
-    in
-    let tasks =
-      List.concat_map
-        (fun ((e : Regress.Suite.entry), eps, _) ->
-          List.concat_map
-            (fun i ->
-              let seed = e.Regress.Suite.config.Runtime.Config.seed + i in
-              [ (e, seed, 0); (e, seed, eps) ])
-            (List.init seeds Fun.id))
-        plan
-    in
-    let runs =
-      Runtime.Pool.map ~jobs
-        (fun ((e : Regress.Suite.entry), seed, eps) ->
-          Printf.eprintf "simbench: equiv %s seed %d epsilon %d\n%!" e.Regress.Suite.id seed
-            eps;
-          let cfg =
-            {
-              e.Regress.Suite.config with
-              Runtime.Config.epsilon = Some eps;
-              shards = Some shards;
-              topology =
-                Option.value topology ~default:e.Regress.Suite.config.Runtime.Config.topology;
-            }
-          in
-          (e.Regress.Suite.id, eps, Runtime.Runner.run_trial cfg ~seed))
-        tasks
-    in
-    let samples_for id eps =
-      List.map
-        (fun m ->
-          let pick want =
-            List.filter_map
-              (fun (i, e2, t) -> if i = id && e2 = want then Some (value_of t m) else None)
-              runs
-          in
-          { Regress.Stat_gate.metric = m; exact = pick 0; relaxed = pick eps })
-        metric_names
-    in
-    if bless then begin
-      List.iter
-        (fun ((e : Regress.Suite.entry), eps, _) ->
-          let id = e.Regress.Suite.id in
-          let b =
-            {
-              Regress.Stat_gate.id;
-              epsilon = eps;
-              seeds = List.init seeds (fun i -> e.Regress.Suite.config.Runtime.Config.seed + i);
-              tolerance = Regress.Stat_gate.default_tolerance;
-              samples = samples_for id eps;
-            }
-          in
-          let findings =
-            Regress.Stat_gate.compare_all ~tolerance:b.Regress.Stat_gate.tolerance ~id
-              b.Regress.Stat_gate.samples
-          in
-          if not (Regress.Gate.all_ok findings) then begin
-            print_endline (Regress.Gate.render findings);
-            die "simbench: refusing to bless %s: epsilon %d ns is not statistically equivalent"
-              id eps
-          end;
-          Regress.Stat_gate.save ~dir:baselines b;
-          Printf.printf "blessed relaxed-%s at epsilon %d ns (%d seeds per mode)\n" id eps
-            seeds)
-        plan
-    end
-    else begin
-      let findings =
-        List.concat_map
-          (fun ((e : Regress.Suite.entry), eps, blessed) ->
-            let id = e.Regress.Suite.id in
-            let fresh = samples_for id eps in
-            let pin, tol, drift =
-              match blessed with
-              | None -> ([], Regress.Stat_gate.default_tolerance, [])
-              | Some b ->
-                  let pin =
-                    if b.Regress.Stat_gate.epsilon <> eps then
-                      [
-                        {
-                          Regress.Gate.id;
-                          metric = "epsilon";
-                          ok = false;
-                          detail =
-                            Printf.sprintf "blessed at %d ns but checked at %d ns"
-                              b.Regress.Stat_gate.epsilon eps;
-                        };
-                      ]
-                    else []
-                  in
-                  let tol = b.Regress.Stat_gate.tolerance in
-                  (* Drift from the blessing: fresh relaxed means must stay
-                     within the same mean-shift tolerance of the blessed
-                     relaxed samples, so equivalence cannot erode one
-                     innocuous-looking PR at a time. *)
-                  let drift =
-                    List.concat_map
-                      (fun (s : Regress.Stat_gate.samples) ->
-                        match
-                          List.find_opt
-                            (fun (f : Regress.Stat_gate.samples) ->
-                              f.Regress.Stat_gate.metric = s.Regress.Stat_gate.metric)
-                            fresh
-                        with
-                        | None -> []
-                        | Some f ->
-                            let shift =
-                              Regress.Stat_gate.rel_shift
-                                ~exact:s.Regress.Stat_gate.relaxed
-                                ~relaxed:f.Regress.Stat_gate.relaxed
-                            in
-                            [
-                              {
-                                Regress.Gate.id;
-                                metric = s.Regress.Stat_gate.metric ^ "/blessed";
-                                ok =
-                                  shift <= tol.Regress.Stat_gate.max_rel_mean_shift;
-                                detail =
-                                  Printf.sprintf
-                                    "relaxed mean moved %.2f%% from the blessing (allowed \
-                                     %.2f%%)"
-                                    (shift *. 100.)
-                                    (tol.Regress.Stat_gate.max_rel_mean_shift *. 100.);
-                              };
-                            ])
-                      b.Regress.Stat_gate.samples
-                  in
-                  (pin, tol, drift)
-            in
-            pin @ Regress.Stat_gate.compare_all ~tolerance:tol ~id fresh @ drift)
-          plan
-      in
-      print_endline (Regress.Gate.render findings);
-      if Regress.Gate.all_ok findings then
-        Printf.printf "simbench equiv: %d findings, all ok\n" (List.length findings)
-      else begin
-        let failed = List.length (List.filter (fun f -> not f.Regress.Gate.ok) findings) in
-        Printf.printf "simbench equiv: %d of %d findings FAILED\n" failed
-          (List.length findings);
-        exit 1
-      end
-    end
-  in
-  Cmd.v
-    (Cmd.info "equiv"
-       ~doc:
-         "Statistical-equivalence gate for relaxed dispatch: K seeds exact vs K seeds at \
-          $(b,--epsilon), compared distributionally.")
-    Term.(
-      const run $ suite_arg $ baselines_arg $ equiv_seeds_arg $ equiv_shards_arg
-      $ equiv_machine_arg $ jobs_arg $ tier_arg $ only_arg $ eps_arg $ bless_flag)
 
 (* Wall-clock trajectory comparison. Advisory by default (wall times on
    shared CI runners are noisy); with --gate PCT any entry more than PCT%
@@ -842,4 +508,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; check_cmd; bless_cmd; equiv_cmd; bench_diff_cmd; list_cmd; manifest_cmd ]))
+          [ run_cmd; check_cmd; bless_cmd; bench_diff_cmd; list_cmd; manifest_cmd ]))

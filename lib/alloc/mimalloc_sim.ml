@@ -104,7 +104,6 @@ let raw_free t (th : Sched.thread) h =
     end;
     Sim_mutex.unlock p.lock th;
     th.Sched.metrics.Metrics.remote_frees <- th.Sched.metrics.Metrics.remote_frees + 1;
-    Sched.sync_boundary th ~kind:Sched.sync_kind_remote;
     let tr = Sched.tracer th.Sched.sched in
     if Tracer.enabled tr then
       Tracer.instant tr Tracer.Remote_free ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:1 ~b:p.id

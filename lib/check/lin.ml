@@ -71,18 +71,14 @@ let mismatch e expected =
   }
 
 (* Real-time order check: in linearization order, no operation may respond
-   before an earlier-linearized operation was invoked. [slack] (epsilon-
-   relaxed runs) tolerates inversions up to the dispatch window: two
-   timestamps within epsilon of each other have no defined order under the
-   relaxation, so only a deeper inversion is evidence. Exact runs use
-   [slack = 0], the strict rule. *)
-let check_realtime ?(slack = 0) sorted =
+   before an earlier-linearized operation was invoked. *)
+let check_realtime sorted =
   let violations = ref [] in
   let max_inv = ref min_int in
   let max_inv_owner = ref (-1) in
   List.iter
     (fun e ->
-      if e.resp + slack < !max_inv then
+      if e.resp < !max_inv then
         violations :=
           {
             Oracle.oracle = Oracle.linearizability;
@@ -101,7 +97,7 @@ let check_realtime ?(slack = 0) sorted =
   List.rev !violations
 
 (* Replay a set history (insert/delete/contains over integer keys). *)
-let check_set ?slack t =
+let check_set t =
   let sorted = events t in
   let model = Hashtbl.create 256 in
   let violations = ref [] in
@@ -123,10 +119,10 @@ let check_set ?slack t =
       in
       if expected <> e.result then violations := mismatch e expected :: !violations)
     sorted;
-  List.rev !violations @ check_realtime ?slack sorted
+  List.rev !violations @ check_realtime sorted
 
 (* Replay a stack history (push/pop/peek over values; -1 = empty). *)
-let check_stack ?slack t =
+let check_stack t =
   let sorted = events t in
   let model = ref [] in
   let violations = ref [] in
@@ -149,10 +145,10 @@ let check_stack ?slack t =
       in
       if expected <> e.result then violations := mismatch e expected :: !violations)
     sorted;
-  List.rev !violations @ check_realtime ?slack sorted
+  List.rev !violations @ check_realtime sorted
 
 (* Replay a queue history (push = enqueue, pop = dequeue, peek = front). *)
-let check_queue ?slack t =
+let check_queue t =
   let sorted = events t in
   let model = Queue.create () in
   let violations = ref [] in
@@ -170,4 +166,4 @@ let check_queue ?slack t =
       in
       if expected <> e.result then violations := mismatch e expected :: !violations)
     sorted;
-  List.rev !violations @ check_realtime ?slack sorted
+  List.rev !violations @ check_realtime sorted

@@ -22,22 +22,6 @@ type t = {
     Oracle.outcome;
 }
 
-(* Scenario schedulers default to the paper's machine but honour the
-   EPOCHS_CHECK_MACHINE env var, so the checker can run on the tiny
-   4-socket topology where a handful of threads spans several sockets and
-   sharded / epsilon-relaxed dispatch paths are exercised non-vacuously
-   (on intel_192t a checkable workload lands entirely on socket 0). *)
-let machine_env_var = "EPOCHS_CHECK_MACHINE"
-
-let check_topology () =
-  match Sys.getenv_opt machine_env_var with
-  | None | Some "" -> Topology.intel_192t
-  | Some name -> (
-      match Topology.by_name name with
-      | Some t -> t
-      | None ->
-          invalid_arg (Printf.sprintf "%s: unknown machine %S" machine_env_var name))
-
 (* ------------------------------------------------------------------ *)
 (* Simulated scenarios: a concurrent set over the DES simulator.      *)
 (* ------------------------------------------------------------------ *)
@@ -112,15 +96,13 @@ let run_sim ~name ~ds_name ~smr_name ~params ~tracer ~seed ~(recorder : Strategy
   let n = p.n_threads in
   let violations = ref [] in
   let add v = violations := v :: !violations in
-  let sched = Sched.create ~topology:(check_topology ()) ~n_threads:n ~seed () in
+  let sched = Sched.create ~topology:Topology.intel_192t ~n_threads:n ~seed () in
   Sched.set_controller sched (Some recorder.Strategy.controller);
   Sched.set_tracer sched tracer;
   (* The leak allocator never recycles handles, so every free is visible
-     to the grace-period validator exactly once. The validator and the
-     linearizability oracle take the effective epsilon as slack: under
-     relaxed dispatch timestamps within the window have no defined order. *)
+     to the grace-period validator exactly once. *)
   let alloc = Alloc.Registry.make "leak" sched in
-  let safety = Smr.Safety.create ~slack:(Sched.epsilon sched) ~n () in
+  let safety = Smr.Safety.create ~n in
   let base_smr, af = Smr.Smr_registry.parse smr_name in
   let mode = if af then Smr.Free_policy.Amortized 1 else Smr.Free_policy.Batch in
   let policy = Smr.Free_policy.create ~safety ~mode ~alloc ~n () in
@@ -298,7 +280,7 @@ let run_sim ~name ~ds_name ~smr_name ~params ~tracer ~seed ~(recorder : Strategy
              detail = Format.asprintf "%a" Smr.Safety.pp_violation v;
            })
        (Smr.Safety.violations safety);
-     List.iter add (Lin.check_set ~slack:(Sched.epsilon sched) lin);
+     List.iter add (Lin.check_set lin);
      (try ds.Ds.Ds_intf.check_invariants ()
       with Invalid_argument msg ->
         add { Oracle.oracle = Oracle.ds_invariant; detail = msg });
@@ -439,7 +421,7 @@ let run_par ~name ~make_proto ~params ~tracer ~seed ~(recorder : Strategy.record
   let n = p.par_threads in
   let violations = ref [] in
   let add v = violations := v :: !violations in
-  let sched = Sched.create ~topology:(check_topology ()) ~n_threads:n ~seed () in
+  let sched = Sched.create ~topology:Topology.intel_192t ~n_threads:n ~seed () in
   Sched.set_controller sched (Some recorder.Strategy.controller);
   Sched.set_tracer sched tracer;
   let slab = Parallel.Slab.create ~blocks:p.blocks ~block_words:2 in
@@ -671,7 +653,7 @@ let run_par_hp ~name ~mode ~params ~tracer ~seed ~(recorder : Strategy.recorder)
   let n = p.par_threads in
   let violations = ref [] in
   let add v = violations := v :: !violations in
-  let sched = Sched.create ~topology:(check_topology ()) ~n_threads:n ~seed () in
+  let sched = Sched.create ~topology:Topology.intel_192t ~n_threads:n ~seed () in
   Sched.set_controller sched (Some recorder.Strategy.controller);
   Sched.set_tracer sched tracer;
   let slab = Parallel.Slab.create ~blocks:p.blocks ~block_words:2 in

@@ -17,23 +17,15 @@ type violation = { handle : int; retired_at : int; freed_at : int; blocking_thre
 
 type t = {
   n : int;
-  slack : int;  (* epsilon-relaxed runs: tolerated clock skew, ns (0 = exact) *)
   op_begin : int array;  (* per thread: virtual time its current op began *)
   mutable retire_time : int array;  (* dense by handle; -1 = never retired *)
   mutable violations : violation list;
   mutable checked_frees : int;
 }
 
-(* [slack] widens the grace-period check for relaxed (epsilon > 0) dispatch:
-   thread clocks may disagree by up to epsilon, so an op-begin timestamp
-   within [slack] of the retire time is not evidence of a violation — the
-   two events have no defined order under the relaxation. Exact runs pass
-   [slack = 0] (the default) and check the strict rule. *)
-let create ?(slack = 0) ~n () =
-  if slack < 0 then invalid_arg "Safety.create: slack must be non-negative";
+let create ~n =
   {
     n;
-    slack;
     op_begin = Array.make n (-1);
     retire_time = Array.make 1024 (-1);
     violations = [];
@@ -73,7 +65,7 @@ let check_free t ~tid ~handle ~time =
         if
           j <> tid
           && t.op_begin.(j) >= 0
-          && t.op_begin.(j) < retired_at - t.slack
+          && t.op_begin.(j) < retired_at
           && t.op_begin.(j) <> max_int
         then
           t.violations <-

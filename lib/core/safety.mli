@@ -19,13 +19,8 @@ type violation = {
 
 type t
 
-val create : ?slack:int -> n:int -> unit -> t
-(** [slack] (default 0) widens the grace-period rule for epsilon-relaxed
-    dispatch: an op that began within [slack] ns before a retire is not
-    counted as blocking it, because under a relaxed schedule the two
-    timestamps have no defined order within the epsilon window. Exact runs
-    keep [slack = 0] and the strict rule.
-    @raise Invalid_argument when [slack < 0]. *)
+val create : n:int -> t
+(** A validator for threads [0, n). *)
 
 val note_op_begin : t -> tid:int -> time:int -> unit
 (** Record that thread [tid]'s current operation began at [time]. *)

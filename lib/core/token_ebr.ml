@@ -90,7 +90,6 @@ let free_bag_periodic t (th : Sched.thread) bag k =
 let on_token t st (th : Sched.thread) =
   st.receipts <- st.receipts + 1;
   th.Sched.metrics.Metrics.epochs <- th.Sched.metrics.Metrics.epochs + 1;
-  Sched.sync_boundary th ~kind:Sched.sync_kind_epoch;
   (let tr = Sched.tracer th.Sched.sched in
    if Tracer.enabled tr then begin
      Tracer.instant tr Tracer.Epoch_advance ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:t.rounds

@@ -203,7 +203,7 @@ let rebalance_leaf t th p rest i (l : leaf) =
       let rkeys = (match p.children.(ri) with Leaf x -> x.keys | Internal _ -> assert false) in
       let combined = Array.append lkeys rkeys in
       if Array.length combined <= t.b then begin
-        (* Merge: one fresh leaf replaces both. *)
+        (* Merging: one fresh leaf replaces both. *)
         let merged = new_leaf t th combined in
         p.children.(li) <- merged;
         p.ikeys <- array_remove p.ikeys li;

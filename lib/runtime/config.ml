@@ -54,24 +54,6 @@ type t = {
   debra_check_every : int;  (* ops between DEBRA announcement scans *)
   alloc_config : Alloc.Alloc_intf.config;
   cost : Cost_model.t;
-  event_queue : Event_queue.kind option;
-      (* scheduler event-queue implementation; [None] defers to
-         [Event_queue.default_kind] (the EPOCHS_EVENT_QUEUE env var, else
-         the wheel). Both kinds are bit-identical, so this is not part of
-         the experiment definition and — like [alloc_config] and [cost] —
-         never appears in manifests. *)
-  shards : int option;
-      (* per-socket event-loop shard count; [None] defers to
-         [Sched.default_shards] (the EPOCHS_SHARDS env var, else 1).
-         Every shard count produces byte-identical canonical results, so
-         like [event_queue] this never appears in manifests. *)
-  epsilon : int option;
-      (* relaxed-dispatch window, virtual ns; [None] defers to
-         [Sched.default_epsilon] (the EPOCHS_EPSILON env var, else 0 =
-         exact). Relaxed results are digest-DISTINCT and gated
-         statistically (simbench equiv), never byte-compared, so this is
-         run infrastructure like [shards] and never appears in manifests —
-         a blessed baseline must pin its epsilon out of band. *)
   churn : churn option;
       (* thread-churn plan, [None] = static population (all pre-churn
          behaviour and manifests unchanged) *)
@@ -102,9 +84,6 @@ let default =
     debra_check_every = 3;
     alloc_config = Alloc.Alloc_intf.default_config;
     cost = Cost_model.default;
-    event_queue = None;
-    shards = None;
-    epsilon = None;
     churn = None;
   }
 
@@ -187,22 +166,58 @@ let churn_of_spec spec =
       | _ -> fail ())
   | _ -> fail ()
 
+(* The one validity check for a churn plan against the run it is part of:
+   a plan must name a real thread or socket and no time before the start
+   of the measured window. Otherwise it would silently retire nobody, the
+   wrong threads, or everyone. Manifests ([of_json]), the CLI and
+   [churn_schedule] all go through here. *)
+let check_churn cfg =
+  let negative field v =
+    if v < 0 then Some (Printf.sprintf "%s %d is negative; it must be >= 0" field v) else None
+  in
+  let outside field v ~hi ~why =
+    if v < 0 || v >= hi then Some (Printf.sprintf "%s %d is outside [0, %d) (%s)" field v hi why)
+    else None
+  in
+  let problems = function
+    | Rolling_restart { first_ns; every_ns; down_ns = _ } ->
+        [ negative "first_ns" first_ns; negative "every_ns" every_ns ]
+    | Resize { at_ns; keep; down_ns = _ } ->
+        [
+          negative "at_ns" at_ns;
+          outside "keep" keep ~hi:cfg.threads
+            ~why:(Printf.sprintf "the run has %d threads" cfg.threads);
+        ]
+    | Failover { at_ns; socket; down_ns = _ } ->
+        let m = cfg.topology in
+        [
+          negative "at_ns" at_ns;
+          outside "socket" socket ~hi:m.Topology.sockets
+            ~why:(Printf.sprintf "machine %s has %d sockets" m.Topology.name m.Topology.sockets);
+        ]
+  in
+  match cfg.churn with
+  | None -> Ok ()
+  | Some plan -> (
+      match List.find_map Fun.id (problems plan) with
+      | None -> Ok ()
+      | Some msg -> Error (Printf.sprintf "churn %s: %s" (churn_name plan) msg))
+
 (* Expand the plan into per-tid (retire, respawn) offsets relative to the
    start of the measured window; [max_int] = never. The schedule is a pure
-   function of the config, so every worker, shard and queue sees the same
-   one — churn determinism rests on this. *)
+   function of the config, so every worker sees the same one — churn
+   determinism rests on this. *)
 let churn_schedule cfg =
   match cfg.churn with
   | None -> None
   | Some plan ->
+      (match check_churn cfg with Ok () -> () | Error msg -> invalid_arg msg);
       let n = cfg.threads in
       let retire_at = Array.make n max_int in
       let respawn_at = Array.make n max_int in
       let plan_thread tid at down =
-        if at >= 0 then begin
-          retire_at.(tid) <- at;
-          if down >= 0 then respawn_at.(tid) <- at + down
-        end
+        retire_at.(tid) <- at;
+        if down >= 0 then respawn_at.(tid) <- at + down
       in
       (match plan with
       | Rolling_restart { first_ns; every_ns; down_ns } ->
@@ -210,7 +225,7 @@ let churn_schedule cfg =
             plan_thread tid (first_ns + (tid * every_ns)) down_ns
           done
       | Resize { at_ns; keep; down_ns } ->
-          for tid = max 0 keep to n - 1 do
+          for tid = keep to n - 1 do
             plan_thread tid at_ns down_ns
           done
       | Failover { at_ns; socket; down_ns } ->
@@ -282,6 +297,6 @@ let of_json ?(base = default) j =
     | other -> failwith (Printf.sprintf "unknown config field %S" other)
   in
   match List.fold_left apply base (Json.to_assoc j) with
-  | cfg -> Ok cfg
+  | cfg -> Result.map (fun () -> cfg) (check_churn cfg)
   | exception Failure msg -> Error msg
   | exception Json.Type_error msg -> Error msg

@@ -49,19 +49,6 @@ type t = {
   debra_check_every : int;
   alloc_config : Alloc.Alloc_intf.config;
   cost : Cost_model.t;
-  event_queue : Event_queue.kind option;
-      (** scheduler event-queue implementation; [None] defers to
-          {!Simcore.Event_queue.default_kind}. Bit-identical either way,
-          so not manifest-expressible (like [alloc_config] and [cost]) *)
-  shards : int option;
-      (** per-socket event-loop shard count; [None] defers to
-          {!Simcore.Sched.default_shards}. Byte-identical results at any
-          shard count, so not manifest-expressible either *)
-  epsilon : int option;
-      (** relaxed-dispatch window, virtual ns; [None] defers to
-          {!Simcore.Sched.default_epsilon} (0 = exact). Relaxed results
-          are digest-distinct and gated statistically, so this is run
-          infrastructure, never manifest-expressible *)
   churn : churn option;
       (** thread-churn plan; [None] = static population (all pre-churn
           behaviour, labels and manifests unchanged) *)
@@ -81,11 +68,19 @@ val churn_of_spec : string -> churn
     (see {!churn_spec_usage}).
     @raise Failure on a malformed spec, quoting the grammar. *)
 
+val check_churn : t -> (unit, string) result
+(** Check the churn plan against the run: [first_ns], [every_ns] and
+    [at_ns] must be [>= 0], a resize's [keep] must lie in
+    [\[0, threads)] and a failover's [socket] in [\[0, sockets)] of the
+    machine. The [Error] names the plan, the field and its valid range.
+    [Ok ()] when there is no plan. *)
+
 val churn_schedule : t -> (int array * int array) option
 (** Expand the plan into per-tid [(retire, respawn)] offsets relative to
     the start of the measured window; [max_int] = never. A pure function
-    of the config, so every worker, shard and queue derives the same
-    schedule — churn determinism rests on this. *)
+    of the config, so every worker derives the same schedule — churn
+    determinism rests on this.
+    @raise Invalid_argument when {!check_churn} rejects the plan. *)
 
 (** {1 Manifest serialization}
 
@@ -98,5 +93,5 @@ val to_json : t -> Json.t
 
 val of_json : ?base:t -> Json.t -> (t, string) result
 (** Apply the overrides in a JSON object to [base] (default {!default}).
-    Unknown fields, unknown machine names, and type mismatches are
-    reported as [Error]. *)
+    Unknown fields, unknown machine names, type mismatches and churn plans
+    that {!check_churn} rejects are reported as [Error]. *)

@@ -68,23 +68,14 @@ let do_op (cfg : Config.t) (smr : Smr.Smr_intf.t) (ds : Ds.Ds_intf.t) safety per
 let run_trial ?(tracer = Tracer.disabled) (cfg : Config.t) ~seed =
   let n = cfg.Config.threads in
   let sched =
-    Sched.create ~cost:cfg.Config.cost ?event_queue:cfg.Config.event_queue
-      ?shards:cfg.Config.shards ?epsilon:cfg.Config.epsilon ~topology:cfg.Config.topology
-      ~n_threads:n ~seed ()
+    Sched.create ~cost:cfg.Config.cost ~topology:cfg.Config.topology ~n_threads:n ~seed ()
   in
   (* Tracing covers the whole trial (setup, prefill, measured window); the
      profiler isolates the measured window via the Measure_start markers
      below, mirroring the metric snapshots exactly. *)
   Sched.set_tracer sched tracer;
   let alloc = Alloc.Registry.make ~config:cfg.Config.alloc_config cfg.Config.alloc sched in
-  (* The validator inherits the scheduler's effective epsilon as slack:
-     under relaxed dispatch, op-begin and retire timestamps within the
-     window have no defined order, so only deeper overlaps are evidence. *)
-  let safety =
-    if cfg.Config.validate then
-      Some (Smr.Safety.create ~slack:(Sched.epsilon sched) ~n ())
-    else None
-  in
+  let safety = if cfg.Config.validate then Some (Smr.Safety.create ~n) else None in
   let base_smr, af = Smr.Smr_registry.parse cfg.Config.smr in
   let mode =
     if af then Smr.Free_policy.Amortized cfg.Config.af_drain else Smr.Free_policy.Batch

@@ -12,10 +12,10 @@ val is_empty : 'a t -> bool
 val enable_monotone_check : 'a t -> unit
 (** After this call, {!push} raises a descriptive [Failure] when given a
     key earlier than the last popped key, instead of silently reordering.
-    The scheduler enables this on its event queue: its keys are thread
-    clocks, which only move forward, so a regressing key is a scheduler
-    bug worth failing loudly on. Off by default (a bare heap has no
-    monotonicity contract). *)
+    {!Event_queue} enables this: its keys are scheduler clocks, which only
+    move forward, so a regressing key is a scheduler bug worth failing
+    loudly on. Off by default (a bare heap has no monotonicity
+    contract). *)
 
 val push : 'a t -> key:int -> seq:int -> 'a -> unit
 (** [push h ~key ~seq x] inserts [x] with primary key [key] (virtual time)
@@ -31,9 +31,8 @@ val peek_key : 'a t -> int option
 
 val pop_le : 'a t -> bound:int -> 'a option
 (** [pop_le h ~bound] removes and returns the minimum element if its key is
-    [<= bound], in a single heap access — the scheduler's event-loop fast
-    path. Returns [None] when the heap is empty or the minimum is beyond
-    [bound]. *)
+    [<= bound], in a single heap access. Returns [None] when the heap is
+    empty or the minimum is beyond [bound]. *)
 
 val pop_le_default : 'a t -> bound:int -> 'a
 (** As {!pop_le} but returns the [dummy] sentinel instead of [None],
@@ -42,17 +41,3 @@ val pop_le_default : 'a t -> bound:int -> 'a
 
 val has_le : 'a t -> bound:int -> bool
 (** Whether some element has key [<= bound] (exact, O(1)). *)
-
-val head_key : 'a t -> int
-(** The minimum key, or [max_int] when empty — the allocation-free peek
-    the sharded dispatch loop's tournament merge runs on. *)
-
-val head_seq : 'a t -> int
-(** The minimum element's tie-break sequence, or [max_int] when empty.
-    Meaningful together with {!head_key}: the pair is the heap's head in
-    the scheduler's total [(key, seq)] order. *)
-
-val head_task : 'a t -> 'a
-(** The minimum element's payload without removal, or the dummy sentinel
-    when empty (compare physically). Same validity contract as
-    {!head_seq}. *)

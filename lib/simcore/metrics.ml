@@ -29,10 +29,6 @@ type t = {
   mutable remote_frees : int;  (* objects returned to a remote owner *)
   mutable yields : int;  (* checkpoint yields actually performed *)
   mutable elided_yields : int;  (* checkpoint yields skipped (thread stayed minimal) *)
-  mutable shard_syncs : int;  (* sharded dispatch: resumptions that crossed a shard boundary *)
-  mutable epsilon_windows : int;  (* relaxed dispatch: grants made only by the epsilon window *)
-  mutable epsilon_syncs : int;  (* relaxed dispatch: hard sync boundaries armed *)
-  mutable max_skew_ns : int;  (* high-water mark of granted run-ahead past the merge bound *)
   mutable hp_scans : int;  (* hazard-pointer retire-list scans *)
   mutable hp_protect_retries : int;  (* protect/validate loops that had to retry *)
   mutable max_retired : int;  (* high-water mark of any per-thread retire list *)
@@ -64,10 +60,6 @@ let create () =
     remote_frees = 0;
     yields = 0;
     elided_yields = 0;
-    shard_syncs = 0;
-    epsilon_windows = 0;
-    epsilon_syncs = 0;
-    max_skew_ns = 0;
     hp_scans = 0;
     hp_protect_retries = 0;
     max_retired = 0;
@@ -113,10 +105,6 @@ let merge into t =
   into.remote_frees <- into.remote_frees + t.remote_frees;
   into.yields <- into.yields + t.yields;
   into.elided_yields <- into.elided_yields + t.elided_yields;
-  into.shard_syncs <- into.shard_syncs + t.shard_syncs;
-  into.epsilon_windows <- into.epsilon_windows + t.epsilon_windows;
-  into.epsilon_syncs <- into.epsilon_syncs + t.epsilon_syncs;
-  into.max_skew_ns <- max into.max_skew_ns t.max_skew_ns;
   into.hp_scans <- into.hp_scans + t.hp_scans;
   into.hp_protect_retries <- into.hp_protect_retries + t.hp_protect_retries;
   into.max_retired <- max into.max_retired t.max_retired;
@@ -154,9 +142,6 @@ let diff ~before ~after =
     remote_frees = after.remote_frees - before.remote_frees;
     yields = after.yields - before.yields;
     elided_yields = after.elided_yields - before.elided_yields;
-    shard_syncs = after.shard_syncs - before.shard_syncs;
-    epsilon_windows = after.epsilon_windows - before.epsilon_windows;
-    epsilon_syncs = after.epsilon_syncs - before.epsilon_syncs;
     hp_scans = after.hp_scans - before.hp_scans;
     hp_protect_retries = after.hp_protect_retries - before.hp_protect_retries;
     thread_spawns = after.thread_spawns - before.thread_spawns;
@@ -164,7 +149,6 @@ let diff ~before ~after =
     teardown_frees = after.teardown_frees - before.teardown_frees;
     (* A high-water mark cannot be windowed: the [after] value is the whole
        run's maximum, which is the honest upper bound for any window. *)
-    max_skew_ns = after.max_skew_ns;
     max_retired = after.max_retired;
     free_call_hist = after.free_call_hist;
     op_hist = after.op_hist;

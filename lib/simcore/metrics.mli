@@ -36,17 +36,6 @@ type t = {
   mutable yields : int;  (** checkpoint yields actually performed *)
   mutable elided_yields : int;
       (** checkpoint yields elided because the thread stayed minimal *)
-  mutable shard_syncs : int;
-      (** sharded dispatch only: resumptions that crossed a shard boundary *)
-  mutable epsilon_windows : int;
-      (** relaxed dispatch only: event grants that were legal {e only} under
-          the epsilon window (an exact merge would have blocked them) *)
-  mutable epsilon_syncs : int;
-      (** relaxed dispatch only: hard sync boundaries armed (lock acquire /
-          release handoff, epoch advance, remote free into another home) *)
-  mutable max_skew_ns : int;
-      (** high-water mark of run-ahead granted past the merge bound; merged
-          with [max], not summed, and not windowable by {!diff} *)
   mutable hp_scans : int;  (** hazard-pointer retire-list scans *)
   mutable hp_protect_retries : int;
       (** hazard-pointer protect/validate loops that had to retry *)

@@ -39,7 +39,6 @@ type task = Run of (unit -> unit) | Resume of thread
 and thread = {
   tid : int;
   socket : int;
-  shard : int;  (* dispatch shard (socket mod n_shards); 0 when unsharded *)
   core : int;
   cpu_factor : float;  (* >1 when sharing a physical core (SMT) *)
   rng : Rng.t;
@@ -54,9 +53,6 @@ and thread = {
   mutable pending : (unit, unit) Effect.Deep.continuation option;
       (* parked continuation: the thread is either enqueued or suspended *)
   mutable suspended : bool;  (* blocked on [suspend], waiting for [ready] *)
-  mutable sync_required : bool;
-      (* relaxed dispatch: a hard sync boundary was crossed — this thread's
-         next dispatch must be exact-order (no epsilon run-ahead) *)
   mutable resume_task : task;  (* this thread's [Resume], allocated once *)
   mutable alive : bool;  (* false between [retire] and the next respawn *)
   mutable spawn_pending : bool;  (* a [respawn] event is enqueued but not yet run *)
@@ -66,18 +62,7 @@ and thread = {
 }
 
 and t = {
-  queues : task Event_queue.t array;
-      (* one event queue per shard; length 1 = the classic global loop *)
-  n_shards : int;
-  merge : Merge.t;
-      (* tournament-merge window state: current shard + runner-up bound *)
-  epsilon : int;
-      (* relaxed dispatch window, virtual ns; 0 = exact tournament merge *)
-  cursors : int array;
-      (* per-shard merge cursor: last popped key. Only maintained (and only
-         read, by the [enqueue] clamp) when [epsilon > 0]. *)
-  mutable pending_sync : bool;
-      (* a shard boundary was just crossed; charge the next resumption *)
+  queue : task Wheel.t;  (* the one event queue, keyed (clock, seq) *)
   mutable seq : int;
   cost : Cost_model.t;
   topology : Topology.t;
@@ -99,68 +84,19 @@ type _ Effect.t += Suspend : thread -> unit Effect.t
 
 let quantum_ns = 1_000_000  (* 1 virtual ms, a Linux-like timeslice *)
 
-(* Queue-empty sentinel for [Event_queue.pop_le_default]: never executed,
+(* Queue-empty sentinel for [Wheel.pop_le_default]: never executed,
    recognised by physical equality in the dispatch loops. *)
 let dummy_task : task = Run ignore
 
-(* The one sentinel check every dispatch loop (global bounded/unbounded and
-   sharded) goes through, so the loops cannot drift on how "queue empty"
-   is recognised. *)
+(* The one sentinel check both dispatch loops ([run] and [run_until]) go
+   through, so they cannot drift on how "queue empty" is recognised. *)
 let[@inline] is_live t = t != dummy_task
 
-(* -- sharding ------------------------------------------------------------ *)
-
-let shards_env_var = "EPOCHS_SHARDS"
-
-(* The unsharded loop is the default until the shard-crosscheck job has
-   soaked; [EPOCHS_SHARDS] (or [Config.shards] / [simbench --shards])
-   selects the per-socket sharded loop. Results are bit-identical either
-   way — see [run_sharded]. *)
-let default_shards () =
-  match Sys.getenv_opt shards_env_var with
-  | None | Some "" -> 1
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "%s: expected a positive shard count, got %S" shards_env_var s))
-
-let epsilon_env_var = "EPOCHS_EPSILON"
-
-(* Exact dispatch is the default: epsilon-relaxed runs are digest-distinct
-   and gated statistically (simbench equiv), not byte-compared, so relaxing
-   must be an explicit opt-in ([EPOCHS_EPSILON] / [Config.epsilon] /
-   [--epsilon]). *)
-let default_epsilon () =
-  match Sys.getenv_opt epsilon_env_var with
-  | None | Some "" -> 0
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> n
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "%s: expected a non-negative window in virtual ns, got %S"
-               epsilon_env_var s))
-
-let create ?(cost = Cost_model.default) ?event_queue ?shards ?epsilon ~topology ~n_threads
-    ~seed () =
+let create ?(cost = Cost_model.default) ~topology ~n_threads ~seed () =
   if n_threads <= 0 then invalid_arg "Sched.create: n_threads must be positive";
-  let kind =
-    match event_queue with Some k -> k | None -> Event_queue.default_kind ()
-  in
-  let n_shards = match shards with Some n -> n | None -> default_shards () in
-  if n_shards < 1 then invalid_arg "Sched.create: shards must be positive";
-  let epsilon = match epsilon with Some e -> e | None -> default_epsilon () in
-  if epsilon < 0 then invalid_arg "Sched.create: epsilon must be non-negative";
   let sched =
     {
-      queues = Array.init n_shards (fun _ -> Event_queue.create ~kind ~dummy:dummy_task);
-      n_shards;
-      merge = Merge.create ();
-      epsilon;
-      cursors = Array.make n_shards 0;
-      pending_sync = false;
+      queue = Wheel.create ~dummy:dummy_task ();
       seq = 0;
       cost;
       topology;
@@ -177,11 +113,9 @@ let create ?(cost = Cost_model.default) ?event_queue ?shards ?epsilon ~topology 
   let root_rng = Rng.create seed in
   let mk tid =
     let th =
-      let socket = Topology.socket_of_thread topology tid in
       {
         tid;
-        socket;
-        shard = socket mod n_shards;
+        socket = Topology.socket_of_thread topology tid;
         core = Topology.core_of_thread topology tid;
         cpu_factor =
           (if Topology.shares_core topology ~n:n_threads tid then cost.Cost_model.smt_factor
@@ -197,7 +131,6 @@ let create ?(cost = Cost_model.default) ?event_queue ?shards ?epsilon ~topology 
         next_preempt = quantum_ns + (tid * quantum_ns / n_threads);
         pending = None;
         suspended = false;
-        sync_required = false;
         resume_task = Run ignore;
         alive = true;
         spawn_pending = false;
@@ -212,9 +145,6 @@ let create ?(cost = Cost_model.default) ?event_queue ?shards ?epsilon ~topology 
 
 let threads t = t.threads
 let thread t i = t.threads.(i)
-let event_queue t = Event_queue.kind t.queues.(0)
-let shards t = t.n_shards
-let epsilon t = t.epsilon
 let cost t = t.cost
 let topology t = t.topology
 let n_threads t = t.n_threads
@@ -225,38 +155,9 @@ let set_tracer t tr =
 
 let tracer t = t.tracer
 
-let enqueue sched ~shard ~key task =
-  (* Exact mode never needs this clamp: every push key is >= the pushing
-     thread's clock >= the merge cursor (lock handoffs jump the waiter's
-     clock to the release time first). Under epsilon relaxation the current
-     shard's cursor can run *ahead* of another shard's clocks, so a
-     cross-shard handoff can land behind this shard's last popped key —
-     clamp it up to the cursor (the queues' monotone-pop discipline is a
-     hard invariant) and charge the gap to the thread as descheduled time,
-     keeping clock and total_ns in step. The skew charged this way is
-     bounded by epsilon. *)
-  let key =
-    if sched.epsilon > 0 && key < Array.unsafe_get sched.cursors shard then begin
-      let c = Array.unsafe_get sched.cursors shard in
-      (match task with
-      | Resume th ->
-          let d = c - key in
-          th.clock <- th.clock + d;
-          Metrics.add th.metrics ~in_free:th.in_free ~in_flush:th.in_flush Metrics.Idle d;
-          if Tracer.enabled sched.tracer then
-            Tracer.advance_run sched.tracer ~tid:th.tid ~now:th.clock
-      | Run _ -> ());
-      c
-    end
-    else key
-  in
+let enqueue sched ~key task =
   sched.seq <- sched.seq + 1;
-  Event_queue.push (Array.unsafe_get sched.queues shard) ~key ~seq:sched.seq task;
-  (* A push into a non-current shard can lower the running window's bound:
-     the pushed element is a head candidate the window-opening scan did not
-     see (the exactness argument in [run_sharded]). Unsharded,
-     [shard = Merge.cur = 0] and this is one dead compare. *)
-  Merge.note_push sched.merge ~shard ~key ~seq:sched.seq
+  Wheel.push sched.queue ~key ~seq:sched.seq task
 
 (* Advance [th]'s clock by [ns] of *CPU work*, scaled by the SMT factor and
    attributed to [bucket]. Does not yield. *)
@@ -354,27 +255,15 @@ let checkpoint th =
        no other event is due at or before our clock. (A re-enqueued task
        gets a fresh, maximal seq, so any existing event with key <= clock
        pops first — if none exists the round trip is pure overhead.)
-       Sharded, "no other event" splits into the thread's own shard queue
-       ([has_le], exact or conservative as below) and the cached window
-       bound — the minimal head key over the other shards — one int
-       compare instead of a scan. [has_le] may answer a conservative
-       [true] under the wheel, which just performs the yield we would have
-       performed anyway; schedules and digests of the canonical results
-       are bit-identical either way. The yield must still happen when
-       stopping or past the hard deadline so the dispatch loop can drop
-       this continuation.
-
-       Epsilon relaxation moves exactly this line: a thread may stay ahead
-       of the other shards' bound by up to [epsilon] virtual ns before it
-       yields to the merge — unless a sync boundary armed [sync_required],
-       which restores the exact compare. At [epsilon = 0] the predicate
-       reduces to the exact one above, byte for byte. *)
+       [Wheel.has_le] may answer a conservative [true], which just performs
+       the yield we would have performed anyway; schedules and digests are
+       bit-identical either way. The yield must still happen when stopping
+       or past the hard deadline so the dispatch loop can drop this
+       continuation. *)
     if
       sched.stopped
       || th.clock > sched.hard_deadline
-      || (if sched.epsilon = 0 || th.sync_required then th.clock >= sched.merge.Merge.bound_key
-          else th.clock - sched.merge.Merge.bound_key >= sched.epsilon)
-      || Event_queue.has_le (Array.unsafe_get sched.queues th.shard) ~bound:th.clock
+      || Wheel.has_le sched.queue ~bound:th.clock
     then begin
       th.metrics.Metrics.yields <- th.metrics.Metrics.yields + 1;
       if Tracer.enabled sched.tracer then
@@ -389,31 +278,6 @@ let checkpoint th =
   end
 
 let set_controller sched f = sched.controller <- f
-
-(* -- relaxed-dispatch sync boundaries ------------------------------------ *)
-
-(* Payload codes for the [Epsilon_sync] trace instant. *)
-let sync_kind_lock = 1
-let sync_kind_epoch = 2
-let sync_kind_remote = 3
-
-(* Arm a hard synchronization point under relaxed dispatch: the calling
-   thread's next dispatch must be exact-order (no epsilon run-ahead), so
-   cross-shard causality at lock transfers, epoch advances and remote
-   frees is never built on events a run-ahead shard has not seen yet. The
-   flag is arm-only — no yield is injected here, because boundary calls
-   sit inside protocol code (lock bodies, SMR advance paths) that is not
-   checkpoint-safe; the next checkpoint and the dispatch loop both honour
-   it, and the loop clears it on the thread's next exact-order pop.
-   A no-op (one branch) in exact mode or on an unsharded loop. *)
-let sync_boundary th ~kind =
-  let sched = th.sched in
-  if sched.epsilon > 0 && sched.n_shards > 1 then begin
-    th.sync_required <- true;
-    th.metrics.Metrics.epsilon_syncs <- th.metrics.Metrics.epsilon_syncs + 1;
-    if Tracer.enabled sched.tracer then
-      Tracer.instant sched.tracer Tracer.Epsilon_sync ~tid:th.tid ~ts:th.clock ~a:kind ~b:0
-  end
 
 (* Run [f] as an atomic block: no other simulated thread is interleaved
    (checkpoints are suppressed), modelling a linearizable data structure
@@ -442,7 +306,7 @@ let suspend th = Effect.perform (Suspend th)
 let ready th =
   if not th.suspended then invalid_arg "Sched.ready: thread is not suspended";
   th.suspended <- false;
-  enqueue th.sched ~shard:th.shard ~key:th.clock th.resume_task
+  enqueue th.sched ~key:th.clock th.resume_task
 
 let spawn sched th body =
   let handled () =
@@ -459,7 +323,7 @@ let spawn sched th body =
                     if th.sched.stopped then ()
                     else begin
                       th.pending <- Some k;
-                      enqueue th.sched ~shard:th.shard ~key:th.clock th.resume_task
+                      enqueue th.sched ~key:th.clock th.resume_task
                     end)
             | Suspend th ->
                 Some
@@ -472,7 +336,7 @@ let spawn sched th body =
             | _ -> None);
       }
   in
-  enqueue sched ~shard:th.shard ~key:th.clock (Run handled)
+  enqueue sched ~key:th.clock (Run handled)
 
 (* -- thread lifecycle (churn) -------------------------------------------- *)
 
@@ -505,9 +369,8 @@ let retire sched ~tid =
 (* Re-spawn a retired thread at virtual time [at] (>= its clock). The
    downtime is charged as idle immediately — the thread's clock equals
    [at] when the spawn event pops, and dispatch order stays a pure
-   function of (key, seq), so respawns are deterministic across shard
-   counts and queue kinds. [spawn_pending] guards against enqueuing two
-   coroutines for one thread. *)
+   function of (key, seq), so respawns are deterministic. [spawn_pending]
+   guards against enqueuing two coroutines for one thread. *)
 let respawn sched ~tid ~at body =
   if tid < 0 || tid >= sched.n_threads then
     failwith
@@ -543,140 +406,20 @@ let exec = function
           Effect.Deep.continue k ()
       | None -> assert false)
 
-(* The sharded dispatch loop: an exact tournament merge over the per-shard
-   queues.
-
-   Every window, the scan below finds the shard whose head is the
-   lexicographically minimal (key, seq) across all shards — i.e. exactly
-   the event the global loop would pop — and the runner-up head becomes
-   the window *bound*. The winning shard then drains events while its head
-   stays strictly below the bound, which by induction pops precisely the
-   global (key, seq) order: within the window every local head is below
-   every other shard's head, and a cross-shard push during the window
-   either lands at or above the bound (so the next scan sees it) or lowers
-   the cached bound in [enqueue] (push keys are >= the pushing thread's
-   clock >= the merge cursor, so nothing ever lands *behind* the cursor).
-   Hence schedules, metrics-derived results and digests are byte-identical
-   to the unsharded loop — the shard-crosscheck CI job enforces it on both
-   tiers under both queue kinds.
-
-   What sharding buys at equal schedules: each queue holds only its
-   socket's threads (~4x smaller at n192 — shallower heap sifts, lighter
-   wheel staging), the checkpoint elision test collapses to one int
-   compare against the cached bound plus a shard-local [has_le], and the
-   empty-shard case is skipped wholesale by the scan.
-
-   A window ends when the shard's head reaches the bound (or its queue
-   empties, or the next event is past the hard deadline). The window
-   transition is the shard-sync point: the first thread resumption of the
-   new window is charged one [shard_syncs] tick and traced as a
-   [Shard_sync] instant.
-
-   Relaxed mode ([epsilon > 0]) extends the window: when the head fails the
-   exact compare, the bound is revalidated (Merge-layer staleness fix) and
-   the head may still pop while it stays within [epsilon] ns past the
-   bound — unless it is a sync-armed thread (or a one-off [Run] thunk,
-   which is conservatively always exact). Each such grant is charged one
-   [epsilon_windows] tick on the resumed thread, raises its [max_skew_ns]
-   high-water mark, and is traced as an [Epsilon_window] instant. At
-   [epsilon = 0] every added branch is behind an [eps > 0] guard, so the
-   loop is operation-for-operation the exact merge. *)
-let run_sharded sched ~bounded =
-  let queues = sched.queues in
-  let m = sched.merge in
-  let eps = sched.epsilon in
-  sched.pending_sync <- false;
-  (* Drain the current window: pop while the local head (key, seq) is
-     below the window bound (or within the epsilon window) and within the
-     deadline. *)
-  let rec drain q shard =
-    let k = Event_queue.head_key q in
-    let dl = if bounded then sched.hard_deadline else max_int in
-    if k <= dl then begin
-      let sq = Event_queue.head_seq q in
-      let exact =
-        Merge.exact_ok m ~key:k ~seq:sq
-        || (eps > 0
-           && begin
-                Merge.revalidate m queues;
-                Merge.exact_ok m ~key:k ~seq:sq
-              end)
-      in
-      let relaxed =
-        (not exact)
-        && Merge.within m ~key:k ~epsilon:eps
-        &&
-        match Event_queue.head_task q with
-        | Resume th -> not th.sync_required
-        | Run _ -> false
-      in
-      if exact || relaxed then begin
-        let t = Event_queue.pop_le_default q ~bound:k in
-        if is_live t then begin
-          if eps > 0 then begin
-            Array.unsafe_set sched.cursors shard k;
-            match t with
-            | Resume th ->
-                if relaxed then begin
-                  let skew = Merge.skew m ~key:k in
-                  th.metrics.Metrics.epsilon_windows <-
-                    th.metrics.Metrics.epsilon_windows + 1;
-                  if skew > th.metrics.Metrics.max_skew_ns then
-                    th.metrics.Metrics.max_skew_ns <- skew;
-                  if Tracer.enabled sched.tracer then
-                    Tracer.instant sched.tracer Tracer.Epsilon_window ~tid:th.tid ~ts:k
-                      ~a:skew ~b:shard
-                end
-                else th.sync_required <- false
-            | Run _ -> ()
-          end;
-          (match t with
-          | Resume th when sched.pending_sync ->
-              th.metrics.Metrics.shard_syncs <- th.metrics.Metrics.shard_syncs + 1;
-              if Tracer.enabled sched.tracer then
-                Tracer.instant sched.tracer Tracer.Shard_sync ~tid:th.tid ~ts:th.clock
-                  ~a:shard ~b:0;
-              sched.pending_sync <- false
-          | Resume _ | Run _ -> ());
-          exec t;
-          drain q shard
-        end
-      end
-    end
-  in
-  let rec windows ~first =
-    let best = Merge.select m queues in
-    if best >= 0 then begin
-      if bounded && m.Merge.cur_key > sched.hard_deadline then
-        (* Only events beyond the deadline remain anywhere: abandon them,
-           exactly like the global bounded loop. *)
-        sched.stopped <- true
-      else begin
-        if not first then sched.pending_sync <- true;
-        drain (Array.unsafe_get queues best) best;
-        windows ~first:false
-      end
-    end
-  in
-  windows ~first:true
-
 (* Run until no runnable thread remains. Threads still suspended on a lock
    when the queue drains are abandoned (their continuations are dropped),
    which models the end of a timed trial. The sentinel compare (instead of
    an option) keeps the dispatch loop allocation-free per event. *)
 let run sched =
-  if sched.n_shards = 1 then begin
-    let q = Array.unsafe_get sched.queues 0 in
-    let rec loop () =
-      let t = Event_queue.pop_le_default q ~bound:max_int in
-      if is_live t then begin
-        exec t;
-        loop ()
-      end
-    in
-    loop ()
-  end
-  else run_sharded sched ~bounded:false
+  let q = sched.queue in
+  let rec loop () =
+    let t = Wheel.pop_le_default q ~bound:max_int in
+    if is_live t then begin
+      exec t;
+      loop ()
+    end
+  in
+  loop ()
 
 let set_hard_deadline sched ns = sched.hard_deadline <- ns
 
@@ -688,18 +431,15 @@ let set_hard_deadline sched ns = sched.hard_deadline <- ns
    ([pop_le_default]), keeping the dispatch loop allocation- and
    indirection-free. *)
 let run_until sched =
-  if sched.n_shards = 1 then begin
-    let q = Array.unsafe_get sched.queues 0 in
-    let rec loop () =
-      let t = Event_queue.pop_le_default q ~bound:sched.hard_deadline in
-      if is_live t then begin
-        exec t;
-        loop ()
-      end
-      else if not (Event_queue.is_empty q) then sched.stopped <- true
-    in
-    loop ()
-  end
-  else run_sharded sched ~bounded:true
+  let q = sched.queue in
+  let rec loop () =
+    let t = Wheel.pop_le_default q ~bound:sched.hard_deadline in
+    if is_live t then begin
+      exec t;
+      loop ()
+    end
+    else if not (Wheel.is_empty q) then sched.stopped <- true
+  in
+  loop ()
 
 let stop sched = sched.stopped <- true

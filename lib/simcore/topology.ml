@@ -31,11 +31,12 @@ let amd_256c =
   { name = "amd-2s-256t"; sockets = 2; cores_per_socket = 64; smt = 2; ghz = 2.0 }
 
 (* A deliberately tiny 4-socket machine (2 cores/socket, no SMT, 8 logical
-   threads) for cross-shard test coverage: scheduler sharding is per
-   socket, so on the real topologies a checkable-scale workload (a handful
-   of threads) lands entirely on socket 0 and sharded/relaxed code paths
-   are vacuous. Not part of [all] — it describes no measured system and
-   must never appear in experiment sweeps. *)
+   threads). On the real topologies a handful of threads lands entirely on
+   socket 0, so a socket failover would retire everyone; here 8 threads
+   span four sockets and the [ll-churn-failover-n8] suite entry can lose
+   one socket while the others keep running. Not part of [all] — it
+   describes no measured system and must never appear in experiment
+   sweeps. *)
 let tiny_8t = { name = "tiny-4s-8t"; sockets = 4; cores_per_socket = 2; smt = 1; ghz = 2.1 }
 
 let by_name = function

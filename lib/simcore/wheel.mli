@@ -1,12 +1,12 @@
-(** Hierarchical timing wheel keyed by [(time, sequence)] — a drop-in,
-    bit-exact replacement for the scheduler's binary {!Heap}.
+(** Hierarchical timing wheel keyed by [(time, sequence)] — the
+    scheduler's event queue, bit-exact with the reference binary {!Heap}.
 
     Pops come out in exactly the heap's [(key, seq)] order. The wheel
     exploits two scheduler invariants to make that cheap: pop keys are
     monotone non-decreasing (thread clocks only advance, lock handoffs
     jump waiter clocks forward before re-enqueueing), and sequence numbers
-    grow with every push (so any bucket's entries are already tie-ordered
-    and a stable per-bucket sort by key restores the total order).
+    grow with every push (so [(key, seq)] pairs are totally ordered with no
+    duplicates).
 
     Three levels of 256 fixed-width buckets; with the default 512 ns
     granularity (sized from the cost model's delay distribution — op-scale
@@ -15,7 +15,7 @@
     insertions are O(1); crossing an upper-level bucket boundary cascades
     its contents one level down; keys beyond the top horizon wait in an
     unsorted overflow list. The bucket containing the current time is kept
-    unpacked in a sorted staging array popped from the front.
+    unpacked in a small staging min-heap on [(key, seq)].
 
     Steady-state [push]/[pop] allocates nothing: all storage is reused
     arrays that grow amortized, like the heap's. *)
@@ -61,18 +61,3 @@ val has_le : 'a t -> bound:int -> bool
     times, so it may answer [true] for an event slightly beyond [bound]
     but never [false] when one exists. O(occupancy words), no cascading —
     cheap enough for every scheduler checkpoint. *)
-
-val head_key : 'a t -> int
-(** The minimum key, or [max_int] when empty. May advance the wheel's
-    internal hand to stage the minimum (semantically invisible, like
-    {!peek_key}) but allocates nothing. *)
-
-val head_seq : 'a t -> int
-(** The staged minimum's tie-break sequence, or [max_int] when nothing is
-    staged. Meaningful immediately after {!head_key} returned a
-    non-[max_int] key: the pair is the wheel's head in the scheduler's
-    total [(key, seq)] order. *)
-
-val head_task : 'a t -> 'a
-(** The staged minimum's payload, or the dummy sentinel when nothing is
-    staged (compare physically). Same validity contract as {!head_seq}. *)

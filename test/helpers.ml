@@ -4,11 +4,8 @@
 
 open Simcore
 
-let default_topology = Topology.intel_192t
-
-let make_sched ?(n = 4) ?(seed = 7) ?event_queue ?shards ?epsilon ?(topology = default_topology)
-    () =
-  Sched.create ?event_queue ?shards ?epsilon ~topology ~n_threads:n ~seed ()
+let make_sched ?(n = 4) ?(seed = 7) () =
+  Sched.create ~topology:Topology.intel_192t ~n_threads:n ~seed ()
 
 (* Run [body] on thread 0 of a fresh scheduler and return its result. *)
 let in_sim ?n ?seed body =
@@ -30,7 +27,7 @@ let make_ctx ?(n = 4) ?(seed = 7) ?(alloc = "jemalloc") ?(mode = Smr.Free_policy
     ?(validate = true) () =
   let sched = make_sched ~n ~seed () in
   let alloc = Alloc.Registry.make alloc sched in
-  let safety = if validate then Some (Smr.Safety.create ~n ()) else None in
+  let safety = if validate then Some (Smr.Safety.create ~n) else None in
   let policy = Smr.Free_policy.create ?safety ~mode ~alloc ~n () in
   ({ Smr.Smr_intf.sched; alloc; policy; safety }, sched)
 

@@ -3,8 +3,8 @@
    membership, retirement edge cases (retire at t=0, retire-all,
    respawn-same-tid), the descriptive-failure contract of
    [Sched.retire]/[Sched.respawn], churn-trial determinism across jobs,
-   shard counts and event-queue kinds, and the metrics<->trace
-   cross-check of the churn counters. *)
+   the metrics<->trace cross-check of the churn counters, and the
+   rejection of plans that name no real thread, socket or time. *)
 
 open Simcore
 
@@ -286,19 +286,6 @@ let test_churn_jobs_bit_identical () =
       Alcotest.(check int) "no violations" 0 t.Runtime.Trial.violations)
     a
 
-let test_churn_shards_queues_bit_identical () =
-  let base = { churn_cfg with Runtime.Config.trials = 1 } in
-  let digest cfg = Runtime.Trial.digest (Runtime.Runner.run_trial cfg ~seed:11) in
-  let reference = digest base in
-  List.iter
-    (fun (label, cfg) -> Alcotest.(check string) label reference (digest cfg))
-    [
-      ("shards=1", { base with Runtime.Config.shards = Some 1 });
-      ("shards=4", { base with Runtime.Config.shards = Some 4 });
-      ("queue=heap", { base with Runtime.Config.event_queue = Some Event_queue.Heap });
-      ("queue=wheel", { base with Runtime.Config.event_queue = Some Event_queue.Wheel });
-    ]
-
 let test_churn_trial_round_trip () =
   (* The churn counters are conditional JSON fields; a churn trial's
      digest must survive serialization like any other. *)
@@ -325,6 +312,76 @@ let test_churn_metrics_match_trace () =
     p.Simtrace.Profile.teardown_frees;
   Alcotest.(check bool) "nonzero churn" true (t.Runtime.Trial.thread_retires > 0)
 
+(* --- plans that name no real thread, socket or time ------------------ *)
+
+(* 8 threads on the tiny 4-socket machine, as in the ll-churn-failover-n8
+   suite entry. A manifest carrying the plan must be refused with an error
+   that names the field and its valid range, and [churn_schedule] must
+   refuse the same config rather than silently retire nobody, everybody or
+   the wrong threads. *)
+let tiny_cfg plan =
+  {
+    Runtime.Config.default with
+    Runtime.Config.threads = 8;
+    topology = Topology.tiny_8t;
+    churn = Some plan;
+  }
+
+let parse plan = Runtime.Config.of_json (Runtime.Config.to_json (tiny_cfg plan))
+
+let expect_rejected plan ~mentions =
+  match parse plan with
+  | Ok _ -> Alcotest.fail "invalid churn plan accepted"
+  | Error msg ->
+      Alcotest.check_raises "churn_schedule refuses it too" (Invalid_argument msg) (fun () ->
+          ignore (Runtime.Config.churn_schedule (tiny_cfg plan)));
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool) (Printf.sprintf "%S names %S" msg sub) true (Helpers.contains msg sub))
+        mentions
+
+let test_rejects_bad_socket () =
+  List.iter
+    (fun socket ->
+      expect_rejected
+        (Runtime.Config.Failover { at_ns = 1_000_000; socket; down_ns = 500_000 })
+        ~mentions:[ "failover"; "socket"; "[0, 4)" ])
+    [ 9; 4; -1 ]
+
+let test_rejects_bad_keep () =
+  List.iter
+    (fun keep ->
+      expect_rejected
+        (Runtime.Config.Resize { at_ns = 1_000_000; keep; down_ns = -1 })
+        ~mentions:[ "resize"; "keep"; "[0, 8)" ])
+    [ 8; -3 ]
+
+let test_rejects_negative_times () =
+  expect_rejected
+    (Runtime.Config.Rolling_restart { first_ns = -5; every_ns = 100_000; down_ns = 100_000 })
+    ~mentions:[ "rolling"; "first_ns"; ">= 0" ];
+  expect_rejected
+    (Runtime.Config.Rolling_restart { first_ns = 0; every_ns = -1; down_ns = 100_000 })
+    ~mentions:[ "every_ns"; ">= 0" ];
+  expect_rejected
+    (Runtime.Config.Resize { at_ns = -1; keep = 4; down_ns = -1 })
+    ~mentions:[ "resize"; "at_ns"; ">= 0" ];
+  expect_rejected
+    (Runtime.Config.Failover { at_ns = -1; socket = 1; down_ns = 500_000 })
+    ~mentions:[ "failover"; "at_ns"; ">= 0" ]
+
+let test_accepts_edge_plans () =
+  (* The edges of each range are real plans: keep 0 retires everyone,
+     socket 3 is the last socket, time 0 is the window start. *)
+  List.iter
+    (fun plan -> match parse plan with Ok _ -> () | Error msg -> Alcotest.fail msg)
+    [
+      Runtime.Config.Resize { at_ns = 0; keep = 0; down_ns = -1 };
+      Runtime.Config.Resize { at_ns = 0; keep = 7; down_ns = -1 };
+      Runtime.Config.Failover { at_ns = 0; socket = 3; down_ns = -1 };
+      Runtime.Config.Rolling_restart { first_ns = 0; every_ns = 0; down_ns = -1 };
+    ]
+
 let suite =
   ( "churn",
     [
@@ -336,8 +393,10 @@ let suite =
       Helpers.quick "retire of bogus tids fails descriptively" test_retire_failures;
       Helpers.quick "respawn misuse fails descriptively" test_respawn_failures;
       Helpers.quick "churn trials bit-identical across jobs" test_churn_jobs_bit_identical;
-      Helpers.quick "churn trials bit-identical across shards and queues"
-        test_churn_shards_queues_bit_identical;
       Helpers.quick "churn trial JSON round trip" test_churn_trial_round_trip;
       Helpers.quick "churn metrics match the trace" test_churn_metrics_match_trace;
+      Helpers.quick "failover socket outside the machine is rejected" test_rejects_bad_socket;
+      Helpers.quick "resize keep outside the threads is rejected" test_rejects_bad_keep;
+      Helpers.quick "negative churn times are rejected" test_rejects_negative_times;
+      Helpers.quick "churn plans at the range edges are accepted" test_accepts_edge_plans;
     ] )

@@ -256,79 +256,6 @@ let test_baseline_missing_and_corrupt () =
   List.iter (fun f -> Sys.remove (Regress.Baseline.path ~dir f)) [ "corrupt"; "badschema"; "wrongid" ];
   Sys.rmdir dir
 
-(* --- statistical-equivalence gate ------------------------------------- *)
-
-let test_stat_gate_math () =
-  let module S = Regress.Stat_gate in
-  Alcotest.(check (float 1e-9)) "mean" 2.0 (S.mean [ 1.; 2.; 3. ]);
-  Alcotest.(check (float 1e-9)) "empty mean" 0. (S.mean []);
-  Alcotest.(check (float 1e-9)) "rel_shift" 0.1
-    (S.rel_shift ~exact:[ 100.; 100. ] ~relaxed:[ 110.; 110. ]);
-  Alcotest.(check (float 1e-9)) "zero-vs-zero shift" 0. (S.rel_shift ~exact:[ 0. ] ~relaxed:[ 0. ]);
-  Alcotest.(check bool) "zero-vs-nonzero shift is infinite" true
-    (S.rel_shift ~exact:[ 0. ] ~relaxed:[ 1. ] = Float.infinity);
-  (* Identical samples carry no rank evidence. *)
-  Alcotest.(check (float 1e-9)) "all-tied z" 0. (S.mann_whitney_z [ 5.; 5. ] [ 5.; 5. ]);
-  Alcotest.(check (float 1e-9)) "empty z" 0. (S.mann_whitney_z [] [ 1. ]);
-  (* Total separation of 5-vs-5: U = 0, mu = 12.5, sd = sqrt(275/12). *)
-  let z = S.mann_whitney_z [ 1.; 2.; 3.; 4.; 5. ] [ 6.; 7.; 8.; 9.; 10. ] in
-  Alcotest.(check (float 1e-3)) "5v5 separation" (-2.611) z;
-  (* Symmetry: swapping the samples flips the sign. *)
-  let z' = S.mann_whitney_z [ 6.; 7.; 8.; 9.; 10. ] [ 1.; 2.; 3.; 4.; 5. ] in
-  Alcotest.(check (float 1e-9)) "antisymmetric" 0. (z +. z');
-  (* Interleaved 4-vs-4: R1 = 16, U = 6, mu = 8, sd = sqrt 12. *)
-  let zi = S.mann_whitney_z [ 1.; 3.; 5.; 7. ] [ 2.; 4.; 6.; 8. ] in
-  Alcotest.(check (float 1e-3)) "interleaved z" (-2. /. sqrt 12.) zi
-
-let test_stat_gate_findings () =
-  let module S = Regress.Stat_gate in
-  let ok_samples =
-    { S.metric = "throughput"; exact = [ 100.; 102.; 98. ]; relaxed = [ 101.; 99.; 103. ] }
-  in
-  let fs = S.compare_samples ~id:"e" ok_samples in
-  Alcotest.(check int) "two findings per metric" 2 (List.length fs);
-  Alcotest.(check bool) "equivalent samples pass" true (Regress.Gate.all_ok fs);
-  (* A 10% mean shift fails the mean check but may pass ranks. *)
-  let shifted = { ok_samples with S.relaxed = [ 110.; 112.; 108. ] } in
-  let fs = S.compare_samples ~id:"e" shifted in
-  Alcotest.(check bool) "shifted mean fails" false (Regress.Gate.all_ok fs);
-  (match List.find_opt (fun f -> f.Regress.Gate.metric = "throughput/mean") fs with
-  | Some f -> Alcotest.(check bool) "mean finding failed" false f.Regress.Gate.ok
-  | None -> Alcotest.fail "no mean finding");
-  (* A custom tolerance can admit the same shift. *)
-  let fs = S.compare_samples ~tolerance:{ S.max_rel_mean_shift = 0.2; max_abs_z = 3. } ~id:"e" shifted in
-  Alcotest.(check bool) "wide tolerance passes" true (Regress.Gate.all_ok fs)
-
-let test_stat_gate_blessed_round_trip () =
-  let module S = Regress.Stat_gate in
-  let dir = temp_dir () in
-  let b =
-    {
-      S.id = "ll-ebr-n8";
-      epsilon = 25_000;
-      seeds = [ 42; 43; 44 ];
-      tolerance = S.default_tolerance;
-      samples =
-        [ { S.metric = "throughput"; exact = [ 1.5e6; 1.6e6 ]; relaxed = [ 1.55e6; 1.58e6 ] } ];
-    }
-  in
-  S.save ~dir b;
-  (match S.load ~dir "ll-ebr-n8" with
-  | Ok b' ->
-      Alcotest.(check bool) "blessed record survives" true (b = b');
-      Alcotest.(check int) "epsilon pinned" 25_000 b'.S.epsilon
-  | Error msg -> Alcotest.fail msg);
-  (match S.load ~dir "missing" with
-  | Ok _ -> Alcotest.fail "loaded a missing relaxed baseline"
-  | Error msg -> Alcotest.(check bool) "mentions bless" true (Helpers.contains msg "bless"));
-  Out_channel.with_open_bin (S.path ~dir "wrongid") (fun oc ->
-      Out_channel.output_string oc (Json.render (S.to_json { b with S.id = "other" })));
-  (match S.load ~dir "wrongid" with
-  | Ok _ -> Alcotest.fail "accepted a mismatched id"
-  | Error _ -> ());
-  List.iter (fun f -> Sys.remove (S.path ~dir f)) [ "ll-ebr-n8"; "wrongid" ];
-  Sys.rmdir dir
-
 let suite =
   ( "regress",
     [
@@ -350,7 +277,4 @@ let suite =
       Helpers.quick "derive_tolerance" test_derive_tolerance;
       Helpers.quick "baseline_file_round_trip" test_baseline_file_round_trip;
       Helpers.quick "baseline_missing_and_corrupt" test_baseline_missing_and_corrupt;
-      Helpers.quick "stat_gate_math" test_stat_gate_math;
-      Helpers.quick "stat_gate_findings" test_stat_gate_findings;
-      Helpers.quick "stat_gate_blessed_round_trip" test_stat_gate_blessed_round_trip;
     ] )

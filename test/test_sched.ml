@@ -178,188 +178,33 @@ let test_oversubscription () =
   Alcotest.(check int) "no preemption when the machine fits" 0
     th'.Sched.metrics.Metrics.idle_ns
 
-(* -- sharded event loop -------------------------------------------------- *)
-
-(* One seeded workload, schedulable many ways: every thread does a random
-   amount of work between checkpoints, and we log (tid, clock) at each
-   step. The log captures the full dispatch order, so equality across
-   shard counts and queue kinds is equality of schedules. *)
-let sharded_log ?event_queue ?epsilon ?topology ~shards ~n () =
-  let log = ref [] in
-  let sched = Helpers.make_sched ~n ~seed:123 ?event_queue ?epsilon ?topology ~shards () in
+let test_yield_counters () =
+  (* The yields/elided_yields counters must account for every checkpoint. *)
+  let sched = Helpers.make_sched ~n:96 ~seed:123 () in
   Array.iter
     (fun th ->
       Sched.spawn sched th (fun th ->
           for _ = 1 to 5 do
             Sched.work ~scaled:false th Metrics.Ds (1 + Rng.int_below th.Sched.rng 100);
-            log := (th.Sched.tid, Sched.now th) :: !log;
             Sched.checkpoint th
           done))
     (Sched.threads sched);
   Sched.run sched;
-  (sched, List.rev !log)
-
-let test_sharded_schedule_identical () =
-  (* n=192 populates all four sockets. The sharded loop must reproduce the
-     global loop's dispatch order exactly, for any shard count (including
-     non-divisors of the socket count and counts beyond it) and under both
-     queue kinds. *)
-  List.iter
-    (fun event_queue ->
-      let _, reference = sharded_log ?event_queue ~shards:1 ~n:192 () in
-      List.iter
-        (fun shards ->
-          let _, log = sharded_log ?event_queue ~shards ~n:192 () in
-          Alcotest.(check bool)
-            (Printf.sprintf "shards=%d matches the global loop" shards)
-            true (log = reference))
-        [ 2; 3; 4; 9 ])
-    [ None; Some Event_queue.Heap; Some Event_queue.Wheel ]
-
-let test_sharded_run_until_identical () =
-  (* Same equality under the bounded loop: the deadline cuts both loops at
-     the same event. *)
-  let run shards =
-    let log = ref [] in
-    let sched = Helpers.make_sched ~n:96 ~seed:31 ~shards () in
-    Array.iter
-      (fun th ->
-        Sched.spawn sched th (fun th ->
-            for _ = 1 to 50 do
-              Sched.work ~scaled:false th Metrics.Ds (1 + Rng.int_below th.Sched.rng 500);
-              log := (th.Sched.tid, Sched.now th) :: !log;
-              Sched.checkpoint th
-            done))
-      (Sched.threads sched);
-    Sched.set_hard_deadline sched 5_000;
-    Sched.run_until sched;
-    List.rev !log
-  in
-  Alcotest.(check bool) "bounded sharded run matches" true (run 4 = run 1)
-
-let test_sharded_yield_counters () =
-  (* The yields/elided_yields counters must account for every checkpoint,
-     and shard syncs only appear when more than one shard holds threads. *)
-  let total_checkpoints sched =
+  let total =
     Array.fold_left
       (fun acc th ->
         acc + th.Sched.metrics.Metrics.yields + th.Sched.metrics.Metrics.elided_yields)
       0 (Sched.threads sched)
   in
-  let syncs sched =
-    Array.fold_left
-      (fun acc th -> acc + th.Sched.metrics.Metrics.shard_syncs)
-      0 (Sched.threads sched)
-  in
-  let unsharded, _ = sharded_log ~shards:1 ~n:96 () in
-  let sharded, _ = sharded_log ~shards:4 ~n:96 () in
-  Alcotest.(check int) "every checkpoint counted" (96 * 5) (total_checkpoints unsharded);
-  Alcotest.(check int) "every checkpoint counted (sharded)" (96 * 5)
-    (total_checkpoints sharded);
-  Alcotest.(check int) "no syncs in the unsharded loop" 0 (syncs unsharded);
-  Alcotest.(check bool) "window transitions counted" true (syncs sharded > 0)
+  Alcotest.(check int) "every checkpoint counted" (96 * 5) total
 
-let test_empty_shard_terminates () =
-  (* Shards whose socket hosts no threads stay empty for the whole run; the
-     window scan must skip them and terminate rather than spin. n=4 puts
-     every thread on socket 0, so shards 1-7 never hold an event. *)
-  let sched = Helpers.make_sched ~n:4 ~shards:8 () in
-  let finished = ref 0 in
-  Array.iter
-    (fun th ->
-      Sched.spawn sched th (fun th ->
-          Sched.work ~scaled:false th Metrics.Ds 100;
-          Sched.checkpoint th;
-          incr finished))
-    (Sched.threads sched);
-  Sched.run sched;
-  Alcotest.(check int) "all threads ran to completion" 4 !finished;
-  (* A scheduler with nothing spawned at all must also return immediately,
-     under both loops. *)
-  Sched.run (Helpers.make_sched ~n:4 ~shards:1 ());
-  Sched.run (Helpers.make_sched ~n:4 ~shards:4 ());
-  let bounded = Helpers.make_sched ~n:4 ~shards:4 () in
+let test_empty_run_terminates () =
+  (* A scheduler with nothing spawned must return immediately from both
+     loops. *)
+  Sched.run (Helpers.make_sched ~n:4 ());
+  let bounded = Helpers.make_sched ~n:4 () in
   Sched.set_hard_deadline bounded 1_000;
   Sched.run_until bounded
-
-(* -- epsilon-relaxed dispatch -------------------------------------------- *)
-
-let test_epsilon_validation () =
-  Alcotest.check_raises "negative epsilon"
-    (Invalid_argument "Sched.create: epsilon must be non-negative") (fun () ->
-      ignore (Helpers.make_sched ~epsilon:(-1) ()));
-  Alcotest.(check int) "epsilon recorded" 25_000
-    (Sched.epsilon (Helpers.make_sched ~epsilon:25_000 ()));
-  Alcotest.(check int) "default is exact" 0 (Sched.epsilon (Helpers.make_sched ()))
-
-let test_epsilon_zero_invisible () =
-  (* epsilon = 0 must take the exact dispatch path bit-for-bit: the full
-     (tid, clock) log — the dispatch order — is identical to a scheduler
-     built without the epsilon argument at all, sharded or not. *)
-  let _, reference = sharded_log ~shards:4 ~n:192 () in
-  let _, explicit = sharded_log ~epsilon:0 ~shards:4 ~n:192 () in
-  Alcotest.(check bool) "epsilon=0 log identical to default" true (explicit = reference);
-  let _, unsharded = sharded_log ~epsilon:0 ~shards:1 ~n:192 () in
-  let _, unsharded_ref = sharded_log ~shards:1 ~n:192 () in
-  Alcotest.(check bool) "unsharded too" true (unsharded = unsharded_ref)
-
-let test_epsilon_relaxed_run () =
-  (* On the tiny 4-socket machine 8 threads span every socket, so a
-     sharded loop has 4 populated shards and a positive window really
-     grants out-of-order dispatch. The run must still complete every
-     step, keep each thread's clock monotone (logged clocks are
-     per-thread increasing by construction), bound granted skew by
-     epsilon, and count at least one window grant. *)
-  let epsilon = 200 in
-  let sched, log =
-    sharded_log ~epsilon ~topology:Topology.tiny_8t ~shards:4 ~n:8 ()
-  in
-  Alcotest.(check int) "every step dispatched" (8 * 5) (List.length log);
-  let windows =
-    Array.fold_left
-      (fun acc th -> acc + th.Sched.metrics.Metrics.epsilon_windows)
-      0 (Sched.threads sched)
-  in
-  let max_skew =
-    Array.fold_left
-      (fun acc th -> max acc th.Sched.metrics.Metrics.max_skew_ns)
-      0 (Sched.threads sched)
-  in
-  Alcotest.(check bool) "relaxation granted at least one window" true (windows > 0);
-  Alcotest.(check bool) "skew high-water within epsilon" true
-    (max_skew > 0 && max_skew <= epsilon);
-  (* The exact run of the same workload grants nothing. *)
-  let exact, _ = sharded_log ~topology:Topology.tiny_8t ~shards:4 ~n:8 () in
-  let exact_windows =
-    Array.fold_left
-      (fun acc th -> acc + th.Sched.metrics.Metrics.epsilon_windows)
-      0 (Sched.threads exact)
-  in
-  Alcotest.(check int) "exact mode grants no windows" 0 exact_windows
-
-let test_sync_boundary () =
-  (* A sync boundary is a no-op unless relaxed AND sharded; when armed it
-     sets [sync_required] (cleared by the next dispatch) and counts. *)
-  let armed epsilon shards =
-    let sched = Helpers.make_sched ~epsilon ~shards ~topology:Topology.tiny_8t ~n:8 () in
-    let th = Sched.thread sched 0 in
-    let state = ref None in
-    Sched.spawn sched th (fun th ->
-        Sched.sync_boundary th ~kind:1;
-        state := Some (th.Sched.sync_required, th.Sched.metrics.Metrics.epsilon_syncs));
-    Sched.run sched;
-    match !state with Some s -> s | None -> Alcotest.fail "body did not run"
-  in
-  Alcotest.(check (pair bool int)) "armed under relaxed sharded dispatch" (true, 1)
-    (armed 100 4);
-  Alcotest.(check (pair bool int)) "no-op when exact" (false, 0) (armed 0 4);
-  Alcotest.(check (pair bool int)) "no-op when unsharded" (false, 0) (armed 100 1)
-
-let test_shards_validation () =
-  Alcotest.check_raises "zero shards" (Invalid_argument "Sched.create: shards must be positive")
-    (fun () -> ignore (Helpers.make_sched ~shards:0 ()));
-  Alcotest.(check int) "shard count recorded" 4 (Sched.shards (Helpers.make_sched ~shards:4 ()));
-  Alcotest.(check int) "default is unsharded" 1 (Sched.shards (Helpers.make_sched ()))
 
 let suite =
   ( "sched",
@@ -378,13 +223,6 @@ let suite =
       Helpers.quick "wait_not_smt_scaled" test_wait_not_smt_scaled;
       Helpers.quick "thread_identity" test_thread_identity;
       Helpers.quick "oversubscription" test_oversubscription;
-      Helpers.quick "sharded_schedule_identical" test_sharded_schedule_identical;
-      Helpers.quick "sharded_run_until_identical" test_sharded_run_until_identical;
-      Helpers.quick "sharded_yield_counters" test_sharded_yield_counters;
-      Helpers.quick "empty_shard_terminates" test_empty_shard_terminates;
-      Helpers.quick "epsilon_validation" test_epsilon_validation;
-      Helpers.quick "epsilon_zero_invisible" test_epsilon_zero_invisible;
-      Helpers.quick "epsilon_relaxed_run" test_epsilon_relaxed_run;
-      Helpers.quick "sync_boundary" test_sync_boundary;
-      Helpers.quick "shards_validation" test_shards_validation;
+      Helpers.quick "yield_counters" test_yield_counters;
+      Helpers.quick "empty_run_terminates" test_empty_run_terminates;
     ] )

@@ -123,93 +123,32 @@ let test_tracing_is_invisible () =
     (Json.render (Runtime.Trial.to_json plain))
     (Json.render (Runtime.Trial.to_json traced))
 
-(* --- yield / shard-sync counters -------------------------------------- *)
+(* --- yield counters ------------------------------------------------- *)
 
 (* The scheduler's yield accounting has no Trial counterpart (it is not part
    of the canonical results), so cross-check the trace-derived counts
    against the Metrics counters directly on a raw simulation — the same
-   two-independent-paths contract as check_cross, unsharded and sharded. *)
+   two-independent-paths contract as check_cross. *)
 let test_cross_yield_counters () =
-  List.iter
-    (fun shards ->
-      let tracer = Tracer.create () in
-      let sched = Helpers.make_sched ~n:96 ~seed:5 ~shards () in
-      Sched.set_tracer sched tracer;
-      Array.iter
-        (fun th ->
-          Sched.spawn sched th (fun th ->
-              for _ = 1 to 5 do
-                Sched.work ~scaled:false th Metrics.Ds (1 + Rng.int_below th.Sched.rng 100);
-                Sched.checkpoint th
-              done))
-        (Sched.threads sched);
-      Sched.run sched;
-      let sum f =
-        Array.fold_left (fun acc th -> acc + f th.Sched.metrics) 0 (Sched.threads sched)
-      in
-      let p = Simtrace.Profile.of_tracer tracer in
-      let chk name = Alcotest.(check int) (Printf.sprintf "shards=%d: %s" shards name) in
-      chk "yields" (sum (fun m -> m.Metrics.yields)) p.Simtrace.Profile.yields;
-      chk "elided_yields"
-        (sum (fun m -> m.Metrics.elided_yields))
-        p.Simtrace.Profile.elided_yields;
-      chk "shard_syncs" (sum (fun m -> m.Metrics.shard_syncs)) p.Simtrace.Profile.shard_syncs;
-      Alcotest.(check bool) "yields recorded" true (p.Simtrace.Profile.yields > 0);
-      if shards > 1 then
-        Alcotest.(check bool) "syncs recorded" true (p.Simtrace.Profile.shard_syncs > 0))
-    [ 1; 4 ]
-
-(* The epsilon counters follow the same contract: windows, syncs and the
-   skew high-water recomputed from the trace must equal the Metrics
-   counters. The tiny 4-socket machine puts 8 threads across 4 shards, so
-   a positive window really relaxes the merge, and the explicit
-   [sync_boundary] calls really arm. *)
-let test_cross_epsilon_counters () =
-  let epsilon = 200 in
   let tracer = Tracer.create () in
-  let sched =
-    Helpers.make_sched ~n:8 ~seed:5 ~shards:4 ~epsilon ~topology:Topology.tiny_8t ()
-  in
+  let sched = Helpers.make_sched ~n:96 ~seed:5 () in
   Sched.set_tracer sched tracer;
   Array.iter
     (fun th ->
       Sched.spawn sched th (fun th ->
-          for i = 1 to 20 do
+          for _ = 1 to 5 do
             Sched.work ~scaled:false th Metrics.Ds (1 + Rng.int_below th.Sched.rng 100);
-            if i mod 5 = 0 then Sched.sync_boundary th ~kind:(1 + (i mod 3));
             Sched.checkpoint th
           done))
     (Sched.threads sched);
   Sched.run sched;
   let sum f = Array.fold_left (fun acc th -> acc + f th.Sched.metrics) 0 (Sched.threads sched) in
-  let hi f = Array.fold_left (fun acc th -> max acc (f th.Sched.metrics)) 0 (Sched.threads sched) in
   let p = Simtrace.Profile.of_tracer tracer in
-  let chk = Alcotest.(check int) in
-  chk "epsilon_windows" (sum (fun m -> m.Metrics.epsilon_windows))
-    p.Simtrace.Profile.epsilon_windows;
-  chk "epsilon_syncs" (sum (fun m -> m.Metrics.epsilon_syncs)) p.Simtrace.Profile.epsilon_syncs;
-  chk "max_skew_ns" (hi (fun m -> m.Metrics.max_skew_ns)) p.Simtrace.Profile.max_skew_ns;
-  Alcotest.(check bool) "windows recorded" true (p.Simtrace.Profile.epsilon_windows > 0);
-  Alcotest.(check bool) "syncs recorded" true (p.Simtrace.Profile.epsilon_syncs > 0);
-  Alcotest.(check bool) "skew within epsilon" true
-    (p.Simtrace.Profile.max_skew_ns > 0 && p.Simtrace.Profile.max_skew_ns <= epsilon);
-  (* An exact run of the same workload must trace no epsilon events. *)
-  let tracer0 = Tracer.create () in
-  let sched0 = Helpers.make_sched ~n:8 ~seed:5 ~shards:4 ~topology:Topology.tiny_8t () in
-  Sched.set_tracer sched0 tracer0;
-  Array.iter
-    (fun th ->
-      Sched.spawn sched0 th (fun th ->
-          for i = 1 to 20 do
-            Sched.work ~scaled:false th Metrics.Ds (1 + Rng.int_below th.Sched.rng 100);
-            if i mod 5 = 0 then Sched.sync_boundary th ~kind:(1 + (i mod 3));
-            Sched.checkpoint th
-          done))
-    (Sched.threads sched0);
-  Sched.run sched0;
-  let p0 = Simtrace.Profile.of_tracer tracer0 in
-  chk "exact mode: no windows" 0 p0.Simtrace.Profile.epsilon_windows;
-  chk "exact mode: no syncs" 0 p0.Simtrace.Profile.epsilon_syncs
+  Alcotest.(check int) "yields" (sum (fun m -> m.Metrics.yields)) p.Simtrace.Profile.yields;
+  Alcotest.(check int) "elided_yields"
+    (sum (fun m -> m.Metrics.elided_yields))
+    p.Simtrace.Profile.elided_yields;
+  Alcotest.(check bool) "yields recorded" true (p.Simtrace.Profile.yields > 0)
 
 (* --- hazard-pointer counters ------------------------------------------ *)
 
@@ -257,23 +196,6 @@ let test_cross_hp_counters () =
   | [] -> ()
   | v :: _ -> Alcotest.fail (Format.asprintf "validator violation: %a" Smr.Safety.pp_violation v)
 
-(* Sharding obeys the same invisibility contract as tracing: byte-identical
-   canonical results through the runner. 49 threads spans two sockets, so
-   the sharded loop genuinely merges across shards here. *)
-let test_sharding_is_invisible () =
-  let cfg = small_cfg ~threads:49 () in
-  let plain = Runtime.Runner.run_trial cfg ~seed:cfg.Runtime.Config.seed in
-  let sharded =
-    Runtime.Runner.run_trial
-      { cfg with Runtime.Config.shards = Some 4 }
-      ~seed:cfg.Runtime.Config.seed
-  in
-  Alcotest.(check string) "trial digest" (Runtime.Trial.digest plain)
-    (Runtime.Trial.digest sharded);
-  Alcotest.(check string) "results JSON bytes"
-    (Json.render (Runtime.Trial.to_json plain))
-    (Json.render (Runtime.Trial.to_json sharded))
-
 (* --- recorder unit behaviour ----------------------------------------- *)
 
 let all_kinds =
@@ -282,15 +204,20 @@ let all_kinds =
     Tracer.Lock_hold; Tracer.Free_call; Tracer.Flush; Tracer.Overflow; Tracer.Refill;
     Tracer.Remote_free; Tracer.Reclaim; Tracer.Splice; Tracer.Af_drain;
     Tracer.Epoch_advance; Tracer.Epoch_garbage; Tracer.Retire; Tracer.Measure_start;
-    Tracer.Thread_end; Tracer.Yield; Tracer.Shard_sync; Tracer.Epsilon_window;
-    Tracer.Epsilon_sync;
+    Tracer.Thread_end; Tracer.Yield; Tracer.Hp_protect; Tracer.Hp_scan;
+    Tracer.Thread_spawn; Tracer.Thread_retire; Tracer.Teardown_flush;
   ]
 
 let test_kind_codes_roundtrip () =
   List.iter
     (fun k ->
       Alcotest.(check bool) (Tracer.kind_name k) true (Tracer.of_code (Tracer.code k) = k))
-    all_kinds
+    all_kinds;
+  List.iter
+    (fun c ->
+      Alcotest.check_raises (Printf.sprintf "code %d is unassigned" c)
+        (Invalid_argument "Tracer.of_code: unknown kind") (fun () -> ignore (Tracer.of_code c)))
+    [ 20; 23; 24 ]
 
 let test_disabled_records_nothing () =
   Tracer.span Tracer.disabled Tracer.Run ~tid:0 ~ts:0 ~dur:5 ~a:0 ~b:0;
@@ -426,9 +353,7 @@ let suite =
       Helpers.quick "trace_digest_jobs" test_trace_digest_jobs;
       Helpers.quick "tracing_is_invisible" test_tracing_is_invisible;
       Helpers.quick "cross_yield_counters" test_cross_yield_counters;
-      Helpers.quick "cross_epsilon_counters" test_cross_epsilon_counters;
       Helpers.quick "cross_hp_counters" test_cross_hp_counters;
-      Helpers.quick "sharding_is_invisible" test_sharding_is_invisible;
       Helpers.quick "kind_codes_roundtrip" test_kind_codes_roundtrip;
       Helpers.quick "disabled_records_nothing" test_disabled_records_nothing;
       Helpers.quick "negative_duration_rejected" test_negative_duration_rejected;

@@ -89,8 +89,9 @@ let test_clock_regression_raises () =
   | exception Failure msg ->
       Alcotest.(check bool) "wheel error names the regressing key" true
         (contains_sub msg "500"));
-  (* A bare heap has no monotonicity contract; the scheduler enables the
-     check on its own queue, after which a regressing push fails loudly. *)
+  (* A bare heap has no monotonicity contract; [Event_queue] enables the
+     check on the heap it wraps, after which a regressing push fails
+     loudly. *)
   let h = Heap.create ~dummy:(-1) in
   Heap.push h ~key:1000 ~seq:0 0;
   ignore (Heap.pop h);
