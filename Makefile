@@ -1,7 +1,7 @@
 .PHONY: all build test bench bench-quick bench-smoke bench-trajectory bench-diff \
 	bench-diff-gate examples regress regress-exact regress-perf regress-bless \
 	regress-paper regress-bless-paper trace-paper simcheck-smoke simcheck-selftest \
-	trace-smoke fmt fmt-check deps deps-fmt clean
+	trace-smoke perf-smoke fmt fmt-check deps deps-fmt clean
 
 all: build
 
@@ -83,6 +83,20 @@ trace-smoke:
 	dune exec bin/epochs.exe -- run --ds list --smr debra --alloc jemalloc \
 		--threads 8 --keys 256 --duration 8 --trace trace-smoke.trace.json
 	dune exec bin/epochs.exe -- validate-trace trace-smoke.trace.json
+
+# Host-cost benchmark smoke: one short run of every workload BENCHMARK.json
+# declares (--seconds 1; a run still measures at least 40 passes, ~1.5 min
+# in all). A run exits non-zero when a trial failed — a grace-period
+# violation, or a digest at seed 42 that differs from regress/baselines/ —
+# so this gates the paper-tier entries the benchmark runs on every change,
+# not only in the scheduled paper-scale job. Timings are not gated here.
+PERF_WORKLOADS = $(shell sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)
+perf-smoke:
+	@test -n "$(PERF_WORKLOADS)" || { echo "perf-smoke: no workloads in BENCHMARK.json"; exit 1; }
+	@for w in $(PERF_WORKLOADS); do \
+		echo "perf-smoke: $$w"; \
+		dune exec perf/main.exe -- run --workload $$w --seconds 1 || exit 1; \
+	done
 
 # Paper-scale tier: the 192-thread configurations of the paper's headline
 # figures (ABtree on the 4-socket topology, all six allocator models x

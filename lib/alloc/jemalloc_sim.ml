@@ -47,7 +47,7 @@ let create ?(config = Alloc_intf.default_config) sched =
   let narenas = 4 * n in
   let mk_bin a c =
     {
-      lock = Sim_mutex.create ~name:(Printf.sprintf "je-bin-%d-%d" a c) ();
+      lock = Sim_mutex.create ~name:(lazy (Printf.sprintf "je-bin-%d-%d" a c)) ();
       freelist = Vec.create ();
     }
   in

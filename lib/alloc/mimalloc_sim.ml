@@ -64,7 +64,7 @@ let new_page t (th : Sched.thread) cls =
       id;
       owner = th.Sched.tid;
       cls;
-      lock = Sim_mutex.create ~name:(Printf.sprintf "mi-page-%d" id) ();
+      lock = Sim_mutex.create ~name:(lazy (Printf.sprintf "mi-page-%d" id)) ();
       xfree = Vec.create ();
       flagged = false;
     }

@@ -50,7 +50,7 @@ let create ?(config = Alloc_intf.default_config) sched =
     table = Obj_table.create ();
     central =
       Array.init Size_class.count (fun c ->
-          { lock = Sim_mutex.create ~name:(Printf.sprintf "tc-central-%d" c) (); freelist = Vec.create () });
+          { lock = Sim_mutex.create ~name:(lazy (Printf.sprintf "tc-central-%d" c)) (); freelist = Vec.create () });
     tcache = Array.init n (fun _ -> Array.init Size_class.count (fun _ -> Vec.create ()));
     flush_keep = max 1 (int_of_float (float_of_int config.tcache_cap *. (1. -. config.flush_fraction)));
   }

@@ -79,8 +79,10 @@ and t = {
       (* event recorder; [Tracer.disabled] (a branch-only no-op) by default *)
 }
 
-type _ Effect.t += Yield : thread -> unit Effect.t
-type _ Effect.t += Suspend : thread -> unit Effect.t
+(* Constant constructors: performing one allocates no payload. The
+   handler [spawn] installs already knows the thread it runs. *)
+type _ Effect.t += Yield : unit Effect.t
+type _ Effect.t += Suspend : unit Effect.t
 
 let quantum_ns = 1_000_000  (* 1 virtual ms, a Linux-like timeslice *)
 
@@ -268,7 +270,7 @@ let checkpoint th =
       th.metrics.Metrics.yields <- th.metrics.Metrics.yields + 1;
       if Tracer.enabled sched.tracer then
         Tracer.instant sched.tracer Tracer.Yield ~tid:th.tid ~ts:th.clock ~a:1 ~b:0;
-      Effect.perform (Yield th)
+      Effect.perform Yield
     end
     else begin
       th.metrics.Metrics.elided_yields <- th.metrics.Metrics.elided_yields + 1;
@@ -282,7 +284,9 @@ let set_controller sched f = sched.controller <- f
 (* Run [f] as an atomic block: no other simulated thread is interleaved
    (checkpoints are suppressed), modelling a linearizable data structure
    operation. Virtual-time costs still accrue; lock contention inside the
-   block degrades to release-time ([available_at]) serialization. *)
+   block degrades to release-time ([available_at]) serialization, and a
+   lock another thread holds across a yield cannot be waited for: the
+   [suspend] fails. *)
 let atomically th f =
   th.atomic_depth <- th.atomic_depth + 1;
   match f () with
@@ -300,40 +304,52 @@ let atomically th f =
 let[@inline] atomic_enter th = th.atomic_depth <- th.atomic_depth + 1
 let[@inline] atomic_exit th = th.atomic_depth <- th.atomic_depth - 1
 
-(* Block until another thread calls [ready]. *)
-let suspend th = Effect.perform (Suspend th)
+(* Block until another thread calls [ready]. Suspending inside an atomic
+   section would let other threads run in the middle of a linearizable
+   operation (which may hold, say, a descent path through a tree that
+   they then change), so it fails loudly instead. *)
+let suspend th =
+  if th.atomic_depth > 0 then
+    failwith
+      (Printf.sprintf
+         "Sched.suspend: thread %d would block inside an atomic section (depth %d); \
+          atomic blocks must not wait on another thread"
+         th.tid th.atomic_depth);
+  Effect.perform Suspend
 
 let ready th =
   if not th.suspended then invalid_arg "Sched.ready: thread is not suspended";
   th.suspended <- false;
   enqueue th.sched ~key:th.clock th.resume_task
 
+(* The two park closures are built once per spawn, not once per effect:
+   the handler returns the same [Some] for every yield of the thread. *)
 let spawn sched th body =
+  let park_yield =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        if not th.sched.stopped then begin
+          th.pending <- Some k;
+          enqueue th.sched ~key:th.clock th.resume_task
+        end)
+  in
+  let park_suspend =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        if not th.sched.stopped then begin
+          th.pending <- Some k;
+          th.suspended <- true
+        end)
+  in
   let handled () =
     Effect.Deep.match_with body th
       {
         Effect.Deep.retc = (fun () -> ());
         exnc = (fun e -> raise e);
         effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Yield th ->
-                Some
-                  (fun (k : (a, unit) Effect.Deep.continuation) ->
-                    if th.sched.stopped then ()
-                    else begin
-                      th.pending <- Some k;
-                      enqueue th.sched ~key:th.clock th.resume_task
-                    end)
-            | Suspend th ->
-                Some
-                  (fun (k : (a, unit) Effect.Deep.continuation) ->
-                    if th.sched.stopped then ()
-                    else begin
-                      th.pending <- Some k;
-                      th.suspended <- true
-                    end)
-            | _ -> None);
+          (fun (type a) (eff : a Effect.t) :
+               ((a, unit) Effect.Deep.continuation -> unit) option ->
+            match eff with Yield -> park_yield | Suspend -> park_suspend | _ -> None);
       }
   in
   enqueue sched ~key:th.clock (Run handled)

@@ -127,7 +127,10 @@ val atomic_exit : thread -> unit
     every path out of the block, including exceptional ones. *)
 
 val suspend : thread -> unit
-(** Block until {!ready}. *)
+(** Block until {!ready}.
+    @raise Failure (naming the thread and the depth) inside {!atomically}
+    or an {!atomic_enter} bracket: other threads must not run in the middle
+    of an atomic operation. *)
 
 val ready : thread -> unit
 (** Make a suspended thread runnable at its current clock.

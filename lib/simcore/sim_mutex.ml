@@ -12,7 +12,7 @@
      suspends and is handed the lock FIFO at release time. *)
 
 type t = {
-  name : string;
+  name : string Lazy.t;  (* read only by the tracer, so built on first use *)
   mutable locked : bool;
   mutable available_at : int;  (* virtual time of the last release *)
   mutable holder_socket : int;  (* socket of the last holder, -1 initially *)
@@ -22,7 +22,7 @@ type t = {
   mutable acquired_at : int;  (* virtual time of the last acquisition *)
 }
 
-let create ?(name = "mutex") () =
+let create ?(name = lazy "mutex") () =
   {
     name;
     locked = false;
@@ -43,6 +43,8 @@ let wake_cost (cost : Cost_model.t) m (th : Sched.thread) =
   if m.holder_socket >= 0 && m.holder_socket <> th.Sched.socket then
     cost.Cost_model.lock_wake_remote
   else cost.Cost_model.lock_wake_local
+
+let name_id tr m = Tracer.intern tr (Lazy.force m.name)
 
 (* Acquire [m]. Yields first so acquisitions happen in global virtual-time
    order; all waiting time is charged to the [Lock] bucket. When tracing is
@@ -69,7 +71,7 @@ let lock m (th : Sched.thread) =
     m.holder_socket <- th.Sched.socket;
     if Tracer.enabled tr then
       Tracer.instant tr Tracer.Lock_acquire ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:(wk + tc)
-        ~b:(Tracer.intern tr m.name)
+        ~b:(name_id tr m)
   end
   else begin
     let wait = m.available_at - Sched.now th in
@@ -93,7 +95,7 @@ let lock m (th : Sched.thread) =
     m.locked <- true;
     m.holder_socket <- th.Sched.socket;
     if Tracer.enabled tr then begin
-      let id = Tracer.intern tr m.name in
+      let id = name_id tr m in
       if wait > 0 then
         Tracer.instant tr Tracer.Lock_wait ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:wait ~b:id;
       Tracer.instant tr Tracer.Lock_acquire ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:(wk + tc)
@@ -108,7 +110,7 @@ let unlock m (th : Sched.thread) =
   let tr = Sched.tracer th.Sched.sched in
   if Tracer.enabled tr then
     Tracer.span tr Tracer.Lock_hold ~tid:th.Sched.tid ~ts:m.acquired_at
-      ~dur:(release_time - m.acquired_at) ~a:0 ~b:(Tracer.intern tr m.name);
+      ~dur:(release_time - m.acquired_at) ~a:0 ~b:(name_id tr m);
   m.available_at <- release_time;
   match Queue.take_opt m.waiters with
   | None -> m.locked <- false
@@ -122,7 +124,7 @@ let unlock m (th : Sched.thread) =
         Sched.wait w Metrics.Lock wait;
         if Tracer.enabled tr then
           Tracer.instant tr Tracer.Lock_wait ~tid:w.Sched.tid ~ts:(Sched.now w) ~a:wait
-            ~b:(Tracer.intern tr m.name)
+            ~b:(name_id tr m)
       end;
       Sched.ready w
 

@@ -13,7 +13,7 @@
     All waiting lands in the [Lock] metrics bucket. *)
 
 type t = {
-  name : string;
+  name : string Lazy.t;  (** trace name, built on first use: only the tracer reads it *)
   mutable locked : bool;
   mutable available_at : int;  (** virtual time of the last release *)
   mutable holder_socket : int;  (** socket of the last holder; -1 initially *)
@@ -23,10 +23,12 @@ type t = {
   mutable acquired_at : int;  (** virtual time of the last acquisition *)
 }
 
-val create : ?name:string -> unit -> t
+val create : ?name:string Lazy.t -> unit -> t
 
 val lock : t -> Sched.thread -> unit
-(** Acquire; yields first so acquisitions happen in global time order. *)
+(** Acquire; yields first so acquisitions happen in global time order.
+    @raise Failure when the lock is held and the thread is inside an atomic
+    section, where it cannot wait (see {!Sched.suspend}). *)
 
 val unlock : t -> Sched.thread -> unit
 (** Release; wakes the first queued waiter if any.

@@ -30,7 +30,7 @@
    clocks pack into one or two buckets, occupancy reaches the thread
    count, and every insert paid an O(occupancy) blit — the profile cost
    behind the wheel's n192 gap to the heap. The heap bounds the insert at
-   O(log occupancy) ~ 8 swaps.) When staging drains, occupancy bitmaps
+   O(log occupancy) ~ 8 moves.) When staging drains, occupancy bitmaps
    locate the next busy bucket in O(words); crossing an upper-level
    bucket boundary cascades its contents down one level. Events beyond
    the top level's horizon sit in an unsorted overflow list that is
@@ -140,55 +140,68 @@ let st_reserve t =
   end
 
 (* (key, seq) lexicographic order; seqs are distinct, so this is total. *)
-let[@inline] st_less t i j =
-  let ki = Array.unsafe_get t.st_keys i and kj = Array.unsafe_get t.st_keys j in
-  ki < kj || (ki = kj && Array.unsafe_get t.st_seqs i < Array.unsafe_get t.st_seqs j)
+let[@inline] before (k : int) (s : int) k' s' = k < k' || (k = k' && s < s')
 
-let[@inline] st_swap t i j =
-  let k = Array.unsafe_get t.st_keys i in
-  Array.unsafe_set t.st_keys i (Array.unsafe_get t.st_keys j);
-  Array.unsafe_set t.st_keys j k;
-  let s = Array.unsafe_get t.st_seqs i in
-  Array.unsafe_set t.st_seqs i (Array.unsafe_get t.st_seqs j);
-  Array.unsafe_set t.st_seqs j s;
-  let d = Array.unsafe_get t.st_data i in
-  Array.unsafe_set t.st_data i (Array.unsafe_get t.st_data j);
-  Array.unsafe_set t.st_data j d
-
-(* Push onto the staging min-heap: O(log occupancy) sift, no memmove. *)
+(* Push onto the staging min-heap: O(log occupancy), no memmove. The new
+   element's slot is a hole that moves up past every parent ordered after
+   it; the element is written once, where the hole stops. *)
 let stage_insert t ~key ~seq x =
   st_reserve t;
-  let i = t.st_len in
-  Array.unsafe_set t.st_keys i key;
-  Array.unsafe_set t.st_seqs i seq;
-  Array.unsafe_set t.st_data i x;
-  t.st_len <- i + 1;
-  let i = ref i in
+  let keys = t.st_keys and seqs = t.st_seqs and data = t.st_data in
+  let i = ref t.st_len in
+  t.st_len <- !i + 1;
   let continue = ref (!i > 0) in
   while !continue do
-    let parent = (!i - 1) / 2 in
-    if st_less t !i parent then begin
-      st_swap t !i parent;
-      i := parent;
-      continue := !i > 0
+    let p = (!i - 1) / 2 in
+    let kp = Array.unsafe_get keys p in
+    if before key seq kp (Array.unsafe_get seqs p) then begin
+      Array.unsafe_set keys !i kp;
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
+      Array.unsafe_set data !i (Array.unsafe_get data p);
+      i := p;
+      continue := p > 0
     end
     else continue := false
-  done
+  done;
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set data !i x
 
-let st_sift_down t =
+(* Re-seat ([key], [seq], [x]) from the root after the root was taken: the
+   hole at the root moves down past every smaller child, and the element is
+   written once, where the hole stops. Precondition: [st_len > 0], and slot
+   [st_len] (the element's old place) is outside the heap. *)
+let st_sift_down t ~key ~seq x =
+  let keys = t.st_keys and seqs = t.st_seqs and data = t.st_data in
+  let n = t.st_len in
   let i = ref 0 in
   let continue = ref true in
   while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.st_len && st_less t l !smallest then smallest := l;
-    if r < t.st_len && st_less t r !smallest then smallest := r;
-    if !smallest <> !i then begin
-      st_swap t !i !smallest;
-      i := !smallest
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if
+          r < n
+          && before (Array.unsafe_get keys r) (Array.unsafe_get seqs r) (Array.unsafe_get keys l)
+               (Array.unsafe_get seqs l)
+        then r
+        else l
+      in
+      let kc = Array.unsafe_get keys c in
+      if before kc (Array.unsafe_get seqs c) key seq then begin
+        Array.unsafe_set keys !i kc;
+        Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+        Array.unsafe_set data !i (Array.unsafe_get data c);
+        i := c
+      end
+      else continue := false
     end
-    else continue := false
-  done
+  done;
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set data !i x
 
 (* -- levels and overflow -- *)
 
@@ -404,11 +417,8 @@ let take_head t =
   t.last <- t.st_keys.(0);
   let n = t.st_len - 1 in
   t.st_len <- n;
-  t.st_keys.(0) <- t.st_keys.(n);
-  t.st_seqs.(0) <- t.st_seqs.(n);
-  t.st_data.(0) <- t.st_data.(n);
+  if n > 0 then st_sift_down t ~key:t.st_keys.(n) ~seq:t.st_seqs.(n) t.st_data.(n);
   t.st_data.(n) <- t.dummy;
-  if n > 1 then st_sift_down t;
   t.count <- t.count - 1;
   x
 

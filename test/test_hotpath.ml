@@ -213,6 +213,54 @@ let test_queue_dispatch_zero_alloc () =
         (m2 -. m1 -. probe_overhead))
     [ Event_queue.Heap; Event_queue.Wheel ]
 
+(* The yield round trip (checkpoint, park, dispatch, resume) allocates
+   only the runtime's continuation and the [Some] that parks it: the effect
+   carries no payload and the handler's park closure is built once per
+   spawn. Minor words per performed yield are read over a window that
+   opens once all 192 threads are warm and closes when the last one
+   finishes. The limit of 8 sits between this design (about 4) and a
+   handler that allocates an effect payload and a closure per yield
+   (about 13). *)
+let test_yield_minor_words () =
+  let n = 192 and warm = 300 and measured = 200 in
+  let sched = Helpers.make_sched ~n () in
+  let total_yields () =
+    let y = ref 0 in
+    for i = 0 to n - 1 do
+      y := !y + (Sched.thread sched i).Sched.metrics.Metrics.yields
+    done;
+    !y
+  in
+  let warmed = ref 0 and finished = ref 0 in
+  let w0 = ref 0. and y0 = ref 0 and w1 = ref 0. and y1 = ref 0 in
+  Array.iter
+    (fun th ->
+      Sched.spawn sched th (fun th ->
+          let step = 400 + (37 * (th.Sched.tid mod 11)) in
+          for i = 1 to warm + measured do
+            Sched.work ~scaled:false th Metrics.Ds step;
+            Sched.checkpoint th;
+            if i = warm then begin
+              incr warmed;
+              if !warmed = n then begin
+                y0 := total_yields ();
+                w0 := Gc.minor_words ()
+              end
+            end
+          done;
+          incr finished;
+          if !finished = n then begin
+            w1 := Gc.minor_words ();
+            y1 := total_yields ()
+          end))
+    (Sched.threads sched);
+  Sched.run sched;
+  let yields = !y1 - !y0 in
+  Alcotest.(check bool) "the window performs yields" true (yields > 10_000);
+  let per_yield = (!w1 -. !w0) /. float_of_int yields in
+  if per_yield > 8. then
+    Alcotest.failf "%.2f minor words per performed yield at %d threads (limit 8)" per_yield n
+
 let test_digest_stability () =
   let base =
     {
@@ -257,5 +305,6 @@ let suite =
       prop_group_matches_stable_sort;
       Helpers.quick "flush_refill_zero_alloc" test_flush_refill_zero_alloc;
       Helpers.quick "queue_dispatch_zero_alloc" test_queue_dispatch_zero_alloc;
+      Helpers.quick "yield_minor_words" test_yield_minor_words;
       Helpers.quick "digest_stability" test_digest_stability;
     ] )

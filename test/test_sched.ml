@@ -79,6 +79,33 @@ let test_atomically_restores_on_exception () =
       (try Sched.atomically th (fun () -> failwith "boom") with Failure _ -> ());
       Alcotest.(check int) "atomic depth restored" 0 th.Sched.atomic_depth)
 
+(* A suspend inside an atomic section would let other threads run in the
+   middle of a linearizable operation; it must fail, naming the thread and
+   the depth. The realistic path is a contended lock: thread 1 holds [m]
+   across a yield, and thread 0 asks for it from an atomic block. *)
+let test_suspend_in_atomic_fails () =
+  let failure_of f = match f () with () -> "" | exception Failure msg -> msg in
+  let sched = Helpers.make_sched ~n:2 () in
+  let m = Sim_mutex.create () in
+  let via_lock = ref "" and nested = ref "" in
+  Sched.spawn sched (Sched.thread sched 0) (fun th ->
+      Sched.work ~scaled:false th Metrics.Ds 500;
+      Sched.checkpoint th;
+      via_lock := failure_of (fun () -> Sched.atomically th (fun () -> Sim_mutex.lock m th));
+      nested :=
+        failure_of (fun () ->
+            Sched.atomically th (fun () -> Sched.atomically th (fun () -> Sched.suspend th)));
+      Alcotest.(check int) "atomic depth restored" 0 th.Sched.atomic_depth);
+  Sched.spawn sched (Sched.thread sched 1) (fun th ->
+      Sim_mutex.lock m th;
+      Sched.work ~scaled:false th Metrics.Ds 1000;
+      Sched.checkpoint th);
+  Sched.run sched;
+  Alcotest.(check bool) "contended lock in an atomic block fails, naming the thread" true
+    (Helpers.contains !via_lock "thread 0" && Helpers.contains !via_lock "depth 1");
+  Alcotest.(check bool) "nested atomic blocks report their depth" true
+    (Helpers.contains !nested "thread 0" && Helpers.contains !nested "depth 2")
+
 let test_run_until_cutoff () =
   let sched = Helpers.make_sched ~n:1 () in
   let th = Sched.thread sched 0 in
@@ -215,6 +242,7 @@ let suite =
       Helpers.quick "determinism" test_determinism;
       Helpers.quick "atomically_suppresses_checkpoints" test_atomically_suppresses_checkpoints;
       Helpers.quick "atomically_restores_on_exception" test_atomically_restores_on_exception;
+      Helpers.quick "suspend_in_atomic_fails" test_suspend_in_atomic_fails;
       Helpers.quick "run_until_cutoff" test_run_until_cutoff;
       Helpers.quick "work_n_matches_loop" test_work_n_matches_loop;
       Helpers.quick "work_n_zero_and_unscaled" test_work_n_zero_and_unscaled;

@@ -179,6 +179,82 @@ let test_grace_period_flags () =
       Alcotest.(check bool) (name ^ " exempt") false smr.Smr.Smr_intf.uses_grace_periods)
     [ "hp"; "he"; "wfe"; "nbr"; "nbr+"; "none" ]
 
+(* The validator's [floor] fast path against a reference that scans every
+   thread on every free. Scripts mix op begins whose times go backwards (a
+   respawned thread), quiescence, never-begun threads, frees of handles
+   that were never retired (some beyond the validator's initial table) and
+   frees made before the grace period ends. Times follow a clock that
+   advances 10 ns per step, each event landing up to 400 ns behind it or
+   50 ns ahead. *)
+type safety_op =
+  | Begin of int * int  (* tid, time offset *)
+  | Quiescent of int
+  | Retire of int * int  (* handle, time offset *)
+  | Free of int * int * int  (* tid, handle, time offset *)
+
+let pp_safety_op = function
+  | Begin (tid, d) -> Printf.sprintf "begin t%d %+d" tid d
+  | Quiescent tid -> Printf.sprintf "quiescent t%d" tid
+  | Retire (h, d) -> Printf.sprintf "retire #%d %+d" h d
+  | Free (tid, h, d) -> Printf.sprintf "free t%d #%d %+d" tid h d
+
+let safety_script n =
+  let open QCheck.Gen in
+  let tid = int_bound (n - 1) in
+  let handle = frequency [ (8, int_bound 63); (1, int_range 1000 2100) ] in
+  let offset = frequency [ (4, int_range 0 50); (1, int_range (-400) (-1)) ] in
+  let op =
+    frequency
+      [
+        (4, map2 (fun t d -> Begin (t, d)) tid offset);
+        (1, map (fun t -> Quiescent t) tid);
+        (3, map2 (fun h d -> Retire (h, d)) handle offset);
+        (4, map3 (fun t h d -> Free (t, h, d)) tid handle offset);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_safety_op ops))
+    (list_size (int_range 0 300) op)
+
+(* Replay [ops] into [on_op] with absolute, non-negative times. *)
+let replay_script ops on_op =
+  List.iteri (fun i op -> on_op op (fun d -> max 0 ((10 * i) + d))) ops
+
+let reference_violations n ops =
+  let op_begin = Array.make n (-1) in
+  let retired = Hashtbl.create 64 in
+  let found = ref [] in
+  replay_script ops (fun op at ->
+      match op with
+      | Begin (tid, d) -> op_begin.(tid) <- at d
+      | Quiescent tid -> op_begin.(tid) <- max_int
+      | Retire (h, d) -> Hashtbl.replace retired h (at d)
+      | Free (tid, h, d) -> (
+          match Hashtbl.find_opt retired h with
+          | None -> ()
+          | Some r ->
+              for j = 0 to n - 1 do
+                let b = op_begin.(j) in
+                if j <> tid && b >= 0 && b <> max_int && b < r then
+                  found :=
+                    { Smr.Safety.handle = h; retired_at = r; freed_at = at d; blocking_thread = j }
+                    :: !found
+              done));
+  List.rev !found
+
+let prop_safety_matches_full_scan n =
+  Helpers.prop (Printf.sprintf "safety floor = full scan n%d" n) (safety_script n) (fun ops ->
+      let s = Smr.Safety.create ~n in
+      replay_script ops (fun op at ->
+          match op with
+          | Begin (tid, d) -> Smr.Safety.note_op_begin s ~tid ~time:(at d)
+          | Quiescent tid -> Smr.Safety.note_quiescent s ~tid
+          | Retire (h, d) -> Smr.Safety.note_retire s ~handle:h ~time:(at d)
+          | Free (tid, h, d) -> Smr.Safety.check_free s ~tid ~handle:h ~time:(at d));
+      let frees = List.length (List.filter (function Free _ -> true | _ -> false) ops) in
+      Smr.Safety.violations s = reference_violations n ops
+      && Smr.Safety.checked_frees s = frees)
+
 let suite =
   ( "smr",
     List.map safety_test grace_period_names
@@ -196,4 +272,5 @@ let suite =
         Helpers.quick "nbr_pays_signals" test_nbr_pays_signals;
         Helpers.quick "registry_af_parsing" test_registry_af_parsing;
         Helpers.quick "grace_period_flags" test_grace_period_flags;
-      ] )
+      ]
+    @ List.map prop_safety_matches_full_scan [ 1; 2; 7; 192 ] )
