@@ -100,8 +100,9 @@ perf-smoke:
 
 # Paper-scale tier: the 192-thread configurations of the paper's headline
 # figures (ABtree on the 4-socket topology, all six allocator models x
-# {debra, token} x batch/AF), gated bit-exactly against their own blessed
-# baselines. ~2 min single-domain; CI runs it on a schedule, not per PR.
+# {debra, token, hazard} x batch/AF), gated bit-exactly against their own
+# blessed baselines. About 7 s on 2 domains; CI runs it on every PR
+# (ci.yml) and nightly with a traced run (paper-scale.yml).
 regress-paper:
 	@mkdir -p $(ART)
 	dune exec bin/simbench.exe -- check --tier paper --exact \

@@ -131,7 +131,7 @@ module Grouper = struct
      accesses are in range by the heap shape: every index is in
      [0, last] ⊆ [0, n-1]. [sift] lives outside [sort_prefix] so it is a
      plain function, not a per-call closure over [a]. *)
-  let sift a root last =
+  let sift (a : int array) root last =
     let r = ref root in
     let continue_ = ref true in
     while !continue_ do

@@ -1,10 +1,15 @@
 (** Brown's relaxed (a,b)-tree — the paper's "ABtree".
 
-    Leaf-oriented with copy-on-write leaves: every successful insert or
-    delete copies the affected 240-byte leaf (one or two allocations, one
-    or two retires), the allocation profile that makes the ABtree the
-    remote-batch-free victim of the paper. Internal nodes are mutated in
-    place and allocated on splits; balance is relaxed. *)
+    Leaf-oriented with copy-on-write leaves: in the model every successful
+    insert or delete copies the affected 240-byte leaf (one or two
+    allocations, one or two retires), the allocation profile that makes
+    the ABtree the remote-batch-free victim of the paper. Internal nodes
+    are mutated in place and allocated on splits; balance is relaxed.
+
+    The host does not copy: a leaf's key array is updated in place and
+    only its allocator handle is replaced, with the same [malloc] and
+    [retire] calls, in the same order, as the copy. A descent allocates
+    nothing, so [contains] allocates only its result. *)
 
 val node_bytes : int
 

@@ -2,19 +2,27 @@
 
    Deterministic, splittable and very fast; every simulated thread carries
    its own stream so experiments are reproducible regardless of scheduling
-   order. *)
+   order.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in an 8-byte [Bytes.t]: a draw reads and
+   writes it with plain loads and stores, where a [mutable int64] field
+   would box a fresh Int64 on every draw and store it through the write
+   barrier. *)
 
-let create seed = { state = Int64.of_int seed }
+type t = Bytes.t
 
-let copy t = { state = t.state }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (Int64.of_int seed);
+  t
+
+let copy = Bytes.copy
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

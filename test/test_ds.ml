@@ -165,6 +165,112 @@ let test_abtree_rejects_bad_params () =
        false
      with Invalid_argument _ -> true)
 
+(* The in-place ABtree against the copy-on-write reference [Abtree_ref]:
+   driven by the same script, the two must make the same allocator calls
+   (size and returned handle of every malloc, every retire, in order) and
+   return the same [changed] and [visited] on every operation, with equal
+   size and node counts and the in-place tree's invariants intact after
+   each step. Retired nodes are freed at once, so a handle retired out of
+   order also changes which handle a later malloc returns. Scripts grow the
+   tree, then mostly shrink it, over a key range scaled to [b] so that
+   small trees reach internal splits and root collapses. *)
+type alloc_event = Malloc of int * int | Retire of int
+
+let recording_ctx (alloc : Alloc.Alloc_intf.t) log =
+  let malloc th size =
+    let h = alloc.Alloc.Alloc_intf.malloc th size in
+    log := Malloc (size, h) :: !log;
+    h
+  in
+  {
+    Ds.Ds_intf.alloc = { alloc with Alloc.Alloc_intf.malloc };
+    retire =
+      (fun th h ->
+        log := Retire h :: !log;
+        alloc.Alloc.Alloc_intf.free th h);
+    node_cost = 5;
+  }
+
+let abtree_matches_reference (a, b) ops =
+  Helpers.in_sim (fun sched th ->
+      let log = ref [] and ref_log = ref [] in
+      let tree = Ds.Abtree.make ~a ~b (recording_ctx (Alloc.Registry.make "jemalloc" sched) log) th in
+      let reference =
+        Abtree_ref.make ~a ~b (recording_ctx (Alloc.Registry.make "jemalloc" sched) ref_log) th
+      in
+      let apply (ds : Ds.Ds_intf.t) = function
+        | Insert k -> ds.Ds.Ds_intf.insert th k
+        | Delete k -> ds.Ds.Ds_intf.delete th k
+        | Contains k -> ds.Ds.Ds_intf.contains th k
+      in
+      let same () =
+        let ok =
+          !log = !ref_log
+          && tree.Ds.Ds_intf.size () = reference.Ds.Ds_intf.size ()
+          && tree.Ds.Ds_intf.node_count () = reference.Ds.Ds_intf.node_count ()
+        in
+        log := [];
+        ref_log := [];
+        tree.Ds.Ds_intf.check_invariants ();
+        ok
+      in
+      same ()
+      && List.for_all
+           (fun op ->
+             let r = apply tree op in
+             let r' = apply reference op in
+             r = r' && same ())
+           ops)
+
+let script_gen =
+  QCheck.Gen.(
+    oneofl [ (2, 3); (3, 5); (6, 16) ] >>= fun (a, b) ->
+    int_range (2 * b) (24 * b) >>= fun range ->
+    int_range 20 (40 * b) >>= fun len ->
+    let phase ~insert ~delete =
+      list_repeat len
+        (map2
+           (fun k c -> if c < insert then Insert k else if c < insert + delete then Delete k else Contains k)
+           (int_bound (range - 1)) (int_bound 99))
+    in
+    map2 (fun grow shrink -> ((a, b), grow @ shrink))
+      (phase ~insert:60 ~delete:20) (phase ~insert:15 ~delete:65))
+
+let script_arb =
+  QCheck.make script_gen
+    ~print:(fun ((a, b), ops) -> Printf.sprintf "(a,b) = (%d,%d), %d ops" a b (List.length ops))
+    ~shrink:(fun (ab, ops) -> QCheck.Iter.map (fun ops -> (ab, ops)) (QCheck.Shrink.list ops))
+
+let prop_abtree_matches_reference =
+  Helpers.prop ~count:300 "abtree matches copy-on-write reference" script_arb
+    (fun (ab, ops) -> abtree_matches_reference ab ops)
+
+(* The scripts must reach every restructuring path of the tree: a fixed
+   sample of them, counted by the reference's coverage counters. *)
+let test_abtree_reference_coverage () =
+  let reached () =
+    let c = Abtree_ref.coverage in
+    [
+      ("a leaf split", c.leaf_splits);
+      ("an internal split", c.internal_splits);
+      ("a root split", c.root_splits);
+      ("a merge", c.merges);
+      ("a borrow", c.borrows);
+      ("the mixed-depth skip", c.mixed_depth_skips);
+      ("a single-child splice", c.splices);
+      ("a root collapse", c.root_collapses);
+    ]
+  in
+  let before = reached () in
+  let rand = Random.State.make [| 42 |] in
+  for _ = 1 to 60 do
+    let ab, ops = QCheck.Gen.generate1 ~rand script_gen in
+    Alcotest.(check bool) "matches the reference" true (abtree_matches_reference ab ops)
+  done;
+  List.iter2
+    (fun (path, was) (_, now) -> if now = was then Alcotest.failf "no script reached %s" path)
+    before (reached ())
+
 let test_visited_counts () =
   Helpers.in_sim (fun sched th ->
       let alloc = Alloc.Registry.make "leak" sched in
@@ -202,4 +308,6 @@ let suite =
       Helpers.quick "dgt_two_nodes_per_update" test_dgt_two_nodes_per_update;
       Helpers.quick "abtree_rejects_bad_params" test_abtree_rejects_bad_params;
       Helpers.quick "visited_counts" test_visited_counts;
+      prop_abtree_matches_reference;
+      Helpers.quick "abtree_reference_coverage" test_abtree_reference_coverage;
     ] )

@@ -261,36 +261,130 @@ let test_yield_minor_words () =
   if per_yield > 8. then
     Alcotest.failf "%.2f minor words per performed yield at %d threads (limit 8)" per_yield n
 
+let digest_base =
+  {
+    Runtime.Config.default with
+    Runtime.Config.ds = "list";
+    smr = "debra";
+    threads = 4;
+    key_range = 256;
+    warmup_ns = 500_000;
+    duration_ns = 4_000_000;
+    grace_ns = 4_000_000;
+    seed = 42;
+    trials = 1;
+    validate = false;
+    alloc_config =
+      { Alloc.Alloc_intf.default_config with Alloc.Alloc_intf.tcache_cap = 16 };
+  }
+
+let check_digest label cfg expected =
+  let t = Runtime.Runner.run_trial cfg ~seed:cfg.Runtime.Config.seed in
+  Alcotest.(check string) label expected (Runtime.Trial.digest t);
+  (* The same digest must hold with event tracing enabled: recording is
+     invisible to virtual time. *)
+  let tracer = Tracer.create () in
+  let t = Runtime.Runner.run_trial ~tracer cfg ~seed:cfg.Runtime.Config.seed in
+  Alcotest.(check string) (label ^ " traced") expected (Runtime.Trial.digest t);
+  Alcotest.(check bool) (label ^ " trace non-empty") true (Tracer.recorded tracer > 0)
+
 let test_digest_stability () =
-  let base =
-    {
-      Runtime.Config.default with
-      Runtime.Config.ds = "list";
-      smr = "debra";
-      threads = 4;
-      key_range = 256;
-      warmup_ns = 500_000;
-      duration_ns = 4_000_000;
-      grace_ns = 4_000_000;
-      seed = 42;
-      trials = 1;
-      validate = false;
-      alloc_config =
-        { Alloc.Alloc_intf.default_config with Alloc.Alloc_intf.tcache_cap = 16 };
-    }
-  in
   List.iter
-    (fun (alloc, expected) ->
-      let cfg = { base with Runtime.Config.alloc } in
-      let t = Runtime.Runner.run_trial cfg ~seed:cfg.Runtime.Config.seed in
-      Alcotest.(check string) alloc expected (Runtime.Trial.digest t);
-      (* The same digests must hold with event tracing enabled: recording
-         is invisible to virtual time on every allocator model. *)
-      let tracer = Tracer.create () in
-      let t = Runtime.Runner.run_trial ~tracer cfg ~seed:cfg.Runtime.Config.seed in
-      Alcotest.(check string) (alloc ^ " traced") expected (Runtime.Trial.digest t);
-      Alcotest.(check bool) (alloc ^ " trace non-empty") true (Tracer.recorded tracer > 0))
+    (fun (alloc, expected) -> check_digest alloc { digest_base with Runtime.Config.alloc } expected)
     expected_digests
+
+(* The ABtree's own guard, captured on the copy-on-write tree: short trials
+   at n = 8 over 256 keys, where leaves split and merge, under an epoch
+   reclaimer, Token-EBR with amortized free and hazard pointers. The
+   in-place leaves change the host representation only, so virtual time
+   must not move. *)
+let abtree_digests =
+  [
+    ("debra", "585668aac7add32a8384f6d40201550e");
+    ("token_af", "a0ff11bed2633fa2f326180c8254407b");
+    ("hazard", "f3a5a84ac6e4da1b4014fe55af62b1fb");
+  ]
+
+let test_abtree_digest_stability () =
+  List.iter
+    (fun (smr, expected) ->
+      check_digest ("abtree " ^ smr)
+        { digest_base with Runtime.Config.ds = "abtree"; smr; threads = 8; alloc = "jemalloc" }
+        expected)
+    abtree_digests
+
+(* Minor words per call of [f] over [n] calls, net of the probe itself. *)
+let minor_words_per ~n f =
+  let m0 = Gc.minor_words () in
+  let m1 = Gc.minor_words () in
+  f ();
+  let m2 = Gc.minor_words () in
+  (m2 -. m1 -. (m1 -. m0)) /. float_of_int n
+
+(* ABtree operations at steady state, on a tree half full of 65,536 keys
+   whose retired leaves are freed at once. A descent allocates nothing and
+   a leaf is updated in place, so [contains] allocates only its 3-word
+   [op_result], and an update adds little more, averaged over the splits
+   and merges it causes. The copy-on-write tree allocated 36, 46 and 44
+   words per contains, insert and delete here. *)
+let test_abtree_minor_words () =
+  let sched = Helpers.make_sched ~n:1 () in
+  let alloc = Alloc.Registry.make "jemalloc" sched in
+  let ctx =
+    { Ds.Ds_intf.alloc; retire = alloc.Alloc.Alloc_intf.free; node_cost = 5 }
+  in
+  let per_op = ref [] in
+  Sched.spawn sched (Sched.thread sched 0) (fun th ->
+      let ds = Ds.Abtree.make ctx th in
+      let key_range = 1 lsl 16 and n = 4_000 in
+      let rng = Rng.create 42 in
+      while ds.Ds.Ds_intf.size () < key_range / 2 do
+        ignore (ds.Ds.Ds_intf.insert th (Rng.int_below rng key_range))
+      done;
+      (* Fresh uniform keys for each pass, so about half of the updates
+         change the tree and its occupancy stays near half. *)
+      let keys () = Array.init n (fun _ -> Rng.int_below rng key_range) in
+      let run op keys () =
+        for i = 0 to n - 1 do
+          ignore (Sys.opaque_identity (op th keys.(i)))
+        done
+      in
+      let warm_inserts = keys () in
+      let warm_deletes = keys () in
+      let lookups = keys () in
+      let inserts = keys () in
+      let deletes = keys () in
+      Sched.atomically th (fun () ->
+          (* warm: allocator caches and free lists at steady state *)
+          run ds.Ds.Ds_intf.insert warm_inserts ();
+          run ds.Ds.Ds_intf.delete warm_deletes ();
+          let contains = minor_words_per ~n (run ds.Ds.Ds_intf.contains lookups) in
+          let insert = minor_words_per ~n (run ds.Ds.Ds_intf.insert inserts) in
+          let delete = minor_words_per ~n (run ds.Ds.Ds_intf.delete deletes) in
+          per_op := [ ("contains", 3., contains); ("insert", 6., insert); ("delete", 6., delete) ]));
+  Sched.run sched;
+  Alcotest.(check int) "three probes" 3 (List.length !per_op);
+  List.iter
+    (fun (op, limit, words) ->
+      if words > limit then
+        Alcotest.failf "abtree %s: %.3f minor words per operation (limit %.0f)" op words limit)
+    !per_op
+
+(* A draw updates the generator state in place: [int_below] and [bool]
+   allocate nothing and [float] at most its boxed result. *)
+let test_rng_draw_minor_words () =
+  let r = Rng.create 42 and n = 10_000 in
+  let acc = ref 0 in
+  let int_below = minor_words_per ~n (fun () ->
+      for _ = 1 to n do acc := !acc + Rng.int_below r 1000 done)
+  in
+  let bool = minor_words_per ~n (fun () -> for _ = 1 to n do if Rng.bool r then incr acc done) in
+  let float = minor_words_per ~n (fun () ->
+      for _ = 1 to n do ignore (Sys.opaque_identity (Rng.float r)) done)
+  in
+  Alcotest.(check (float 0.)) "int_below minor words per draw" 0. int_below;
+  Alcotest.(check (float 0.)) "bool minor words per draw" 0. bool;
+  if float > 2. then Alcotest.failf "float: %.2f minor words per draw (limit 2)" float
 
 let suite =
   ( "hotpath",
@@ -307,4 +401,7 @@ let suite =
       Helpers.quick "queue_dispatch_zero_alloc" test_queue_dispatch_zero_alloc;
       Helpers.quick "yield_minor_words" test_yield_minor_words;
       Helpers.quick "digest_stability" test_digest_stability;
+      Helpers.quick "abtree_digest_stability" test_abtree_digest_stability;
+      Helpers.quick "abtree_minor_words" test_abtree_minor_words;
+      Helpers.quick "rng_draw_minor_words" test_rng_draw_minor_words;
     ] )

@@ -69,6 +69,34 @@ let test_bool_balance () =
   done;
   Alcotest.(check bool) "bool roughly balanced" true (!t > 4_500 && !t < 5_500)
 
+(* The first outputs at seed 42, captured before the state moved from a
+   boxed [int64] field to an unboxed byte buffer: the stream is SplitMix64
+   bit for bit, and every seeded result in the repository depends on it. *)
+let test_pinned_outputs () =
+  let hex x = Printf.sprintf "%016Lx" x in
+  let draws n f = List.init n (fun _ -> f ()) in
+  let r = Rng.create 42 in
+  Alcotest.(check (list string)) "next_int64"
+    [ "bdd732262feb6e95"; "28efe333b266f103"; "47526757130f9f52"; "581ce1ff0e4ae394" ]
+    (draws 4 (fun () -> hex (Rng.next_int64 r)));
+  let r = Rng.create 42 in
+  Alcotest.(check (list int)) "int_below 1000" [ 853; 72; 964; 941; 812; 265 ]
+    (draws 6 (fun () -> Rng.int_below r 1000));
+  let r = Rng.create 42 in
+  Alcotest.(check (list (float 0.))) "float"
+    [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2; 0x1.607387fc392b8p-2 ]
+    (draws 4 (fun () -> Rng.float r));
+  let r = Rng.create 42 in
+  Alcotest.(check (list bool)) "bool"
+    [ true; true; false; false; false; false; true; false; true; false; true; false ]
+    (draws 12 (fun () -> Rng.bool r));
+  let r = Rng.create 42 in
+  let child = Rng.split r in
+  Alcotest.(check (list string)) "split child" [ "f54abb1228262896"; "40c69de7e06e605f" ]
+    (draws 2 (fun () -> hex (Rng.next_int64 child)));
+  Alcotest.(check string) "split advances the parent once" "28efe333b266f103"
+    (hex (Rng.next_int64 r))
+
 let suite =
   ( "rng",
     [
@@ -81,4 +109,5 @@ let suite =
       Helpers.quick "split_independence" test_split_independence;
       Helpers.quick "copy" test_copy;
       Helpers.quick "bool_balance" test_bool_balance;
+      Helpers.quick "pinned_outputs" test_pinned_outputs;
     ] )
