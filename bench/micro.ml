@@ -101,59 +101,6 @@ let test_grouper =
   Test.make ~name:"flush grouping (256 handles, 16 homes)"
     (Staged.stage (fun () -> Alloc.Alloc_intf.Grouper.group g table v ~len:256))
 
-(* The scheduler's event-dispatch cycle under each queue implementation:
-   32 events in flight (an n32 trial's steady state), pop the minimum and
-   re-push it a few hundred virtual ns ahead, exactly the thread-clock
-   advance pattern of a running trial. The re-pushed key never drops below
-   the key just popped, so the wheel's monotone contract holds. Both
-   queues must show ~0 minor words/run; the gap between the two is the
-   per-event win the wheel buys every yield. *)
-let test_event_queue kind n =
-  let q = Simcore.Event_queue.create ~kind ~dummy:(-1) in
-  let keys = Array.make n 0 in
-  let seq = ref 0 in
-  for i = 0 to n - 1 do
-    incr seq;
-    keys.(i) <- i * 211 mod 4096;
-    Simcore.Event_queue.push q ~key:keys.(i) ~seq:!seq i
-  done;
-  Test.make
-    ~name:
-      (Printf.sprintf "event dispatch (%s, %d threads)" (Simcore.Event_queue.to_string kind) n)
-    (Staged.stage (fun () ->
-         for _ = 1 to 100 do
-           let x = Simcore.Event_queue.pop_le_default q ~bound:max_int in
-           incr seq;
-           keys.(x) <- keys.(x) + 211 + (97 * (x land 7));
-           Simcore.Event_queue.push q ~key:keys.(x) ~seq:!seq x
-         done))
-
-(* The paper-scale worst case for the wheel: all the thread clocks advance
-   by less than the 512 ns bucket granularity, so every event lands in one
-   or two buckets and the staging window holds ~n entries at once. The
-   old sorted-array staging degraded to an O(occupancy) memmove per insert
-   here; the staging min-heap makes it O(log occupancy). *)
-let test_event_queue_dense kind n =
-  let q = Simcore.Event_queue.create ~kind ~dummy:(-1) in
-  let keys = Array.make n 0 in
-  let seq = ref 0 in
-  for i = 0 to n - 1 do
-    incr seq;
-    keys.(i) <- i * 3 mod 500;
-    Simcore.Event_queue.push q ~key:keys.(i) ~seq:!seq i
-  done;
-  Test.make
-    ~name:
-      (Printf.sprintf "event dispatch dense ties (%s, %d threads)"
-         (Simcore.Event_queue.to_string kind) n)
-    (Staged.stage (fun () ->
-         for _ = 1 to 100 do
-           let x = Simcore.Event_queue.pop_le_default q ~bound:max_int in
-           incr seq;
-           keys.(x) <- keys.(x) + 3 + (x land 7);
-           Simcore.Event_queue.push q ~key:keys.(x) ~seq:!seq x
-         done))
-
 let run () =
   Exp.section "Micro-benchmarks (Bechamel; host-time cost of simulator primitives)";
   let tests =
@@ -162,12 +109,6 @@ let run () =
       test_batch_free;
       test_batch_free_traced;
       test_grouper;
-      test_event_queue Simcore.Event_queue.Heap 32;
-      test_event_queue Simcore.Event_queue.Wheel 32;
-      test_event_queue Simcore.Event_queue.Heap 192;
-      test_event_queue Simcore.Event_queue.Wheel 192;
-      test_event_queue_dense Simcore.Event_queue.Heap 192;
-      test_event_queue_dense Simcore.Event_queue.Wheel 192;
       test_abtree_ops;
       test_smr_cycle;
     ]

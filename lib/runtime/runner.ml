@@ -235,7 +235,7 @@ let run_trial ?(tracer = Tracer.disabled) (cfg : Config.t) ~seed =
     stint th
   in
   Array.iter (fun th -> Sched.spawn sched th body) (Sched.threads sched);
-  Sched.run_until sched;
+  Sched.run sched;
   (* Close spans left open by threads abandoned mid-free at the deadline
      (their partial inclusive time is in the metrics, so the trace must
      carry it too), then record each thread's final clock. *)

@@ -30,13 +30,7 @@ let no_hooks () =
     on_epoch_garbage = (fun ~epoch:_ ~count:_ -> ());
   }
 
-(* Event-queue payload. A thread parks its pending effect continuation in
-   its own [pending] cell and is enqueued as its pre-allocated [Resume]
-   task, so the checkpoint -> push cycle of the hot loop allocates
-   nothing; one-off thunks (thread entry bodies) use [Run]. *)
-type task = Run of (unit -> unit) | Resume of thread
-
-and thread = {
+type thread = {
   tid : int;
   socket : int;
   core : int;
@@ -51,25 +45,22 @@ and thread = {
   mutable atomic_depth : int;  (* > 0 suppresses checkpoints (see [atomically]) *)
   mutable next_preempt : int;  (* next involuntary context switch (oversubscription) *)
   mutable pending : (unit, unit) Effect.Deep.continuation option;
-      (* parked continuation: the thread is either enqueued or suspended *)
+      (* parked continuation: the thread is either queued or suspended *)
   mutable suspended : bool;  (* blocked on [suspend], waiting for [ready] *)
-  mutable resume_task : task;  (* this thread's [Resume], allocated once *)
   mutable alive : bool;  (* false between [retire] and the next respawn *)
-  mutable spawn_pending : bool;  (* a [respawn] event is enqueued but not yet run *)
   mutable teardown : (thread -> unit) list;
       (* teardown hooks, run by [retire] in registration order; persistent
          across retire/respawn cycles *)
 }
 
 and t = {
-  queue : task Wheel.t;  (* the one event queue, keyed (clock, seq) *)
+  queue : Event_queue.t;  (* the one event queue: slot = tid, keyed (clock, seq) *)
   mutable seq : int;
   cost : Cost_model.t;
   topology : Topology.t;
   n_threads : int;
   mutable threads : thread array;
-  mutable stopped : bool;  (* set by [stop]: drains without resuming *)
-  mutable hard_deadline : int;  (* [run_until] cutoff, virtual ns (max_int = none) *)
+  mutable hard_deadline : int;  (* [run] cutoff, virtual ns (max_int = none) *)
   oversub : float;  (* software threads per logical CPU; > 1 = oversubscribed *)
   quantum : int;  (* scheduling timeslice under oversubscription, virtual ns *)
   mutable controller : (thread -> int) option;
@@ -86,25 +77,16 @@ type _ Effect.t += Suspend : unit Effect.t
 
 let quantum_ns = 1_000_000  (* 1 virtual ms, a Linux-like timeslice *)
 
-(* Queue-empty sentinel for [Wheel.pop_le_default]: never executed,
-   recognised by physical equality in the dispatch loops. *)
-let dummy_task : task = Run ignore
-
-(* The one sentinel check both dispatch loops ([run] and [run_until]) go
-   through, so they cannot drift on how "queue empty" is recognised. *)
-let[@inline] is_live t = t != dummy_task
-
 let create ?(cost = Cost_model.default) ~topology ~n_threads ~seed () =
   if n_threads <= 0 then invalid_arg "Sched.create: n_threads must be positive";
   let sched =
     {
-      queue = Wheel.create ~dummy:dummy_task ();
+      queue = Event_queue.create ~kind:Event_queue.Tree ~dummy:(-1);
       seq = 0;
       cost;
       topology;
       n_threads;
       threads = [||];
-      stopped = false;
       hard_deadline = max_int;
       oversub = Topology.oversubscription topology ~n:n_threads;
       quantum = quantum_ns;
@@ -114,33 +96,27 @@ let create ?(cost = Cost_model.default) ~topology ~n_threads ~seed () =
   in
   let root_rng = Rng.create seed in
   let mk tid =
-    let th =
-      {
-        tid;
-        socket = Topology.socket_of_thread topology tid;
-        core = Topology.core_of_thread topology tid;
-        cpu_factor =
-          (if Topology.shares_core topology ~n:n_threads tid then cost.Cost_model.smt_factor
-           else 1.0);
-        rng = Rng.split root_rng;
-        metrics = Metrics.create ();
-        sched;
-        hooks = no_hooks ();
-        clock = 0;
-        in_free = false;
-        in_flush = false;
-        atomic_depth = 0;
-        next_preempt = quantum_ns + (tid * quantum_ns / n_threads);
-        pending = None;
-        suspended = false;
-        resume_task = Run ignore;
-        alive = true;
-        spawn_pending = false;
-        teardown = [];
-      }
-    in
-    th.resume_task <- Resume th;
-    th
+    {
+      tid;
+      socket = Topology.socket_of_thread topology tid;
+      core = Topology.core_of_thread topology tid;
+      cpu_factor =
+        (if Topology.shares_core topology ~n:n_threads tid then cost.Cost_model.smt_factor
+         else 1.0);
+      rng = Rng.split root_rng;
+      metrics = Metrics.create ();
+      sched;
+      hooks = no_hooks ();
+      clock = 0;
+      in_free = false;
+      in_flush = false;
+      atomic_depth = 0;
+      next_preempt = quantum_ns + (tid * quantum_ns / n_threads);
+      pending = None;
+      suspended = false;
+      alive = true;
+      teardown = [];
+    }
   in
   sched.threads <- Array.init n_threads mk;
   sched
@@ -157,9 +133,10 @@ let set_tracer t tr =
 
 let tracer t = t.tracer
 
-let enqueue sched ~key task =
+let enqueue th =
+  let sched = th.sched in
   sched.seq <- sched.seq + 1;
-  Wheel.push sched.queue ~key ~seq:sched.seq task
+  Event_queue.push sched.queue ~key:th.clock ~seq:sched.seq th.tid
 
 (* Advance [th]'s clock by [ns] of *CPU work*, scaled by the SMT factor and
    attributed to [bucket]. Does not yield. *)
@@ -254,18 +231,12 @@ let checkpoint th =
           end
         end);
     (* Elide the yield when this thread would only pop itself right back:
-       no other event is due at or before our clock. (A re-enqueued task
-       gets a fresh, maximal seq, so any existing event with key <= clock
-       pops first — if none exists the round trip is pure overhead.)
-       [Wheel.has_le] may answer a conservative [true], which just performs
-       the yield we would have performed anyway; schedules and digests are
-       bit-identical either way. The yield must still happen when stopping
-       or past the hard deadline so the dispatch loop can drop this
-       continuation. *)
-    if
-      sched.stopped
-      || th.clock > sched.hard_deadline
-      || Wheel.has_le sched.queue ~bound:th.clock
+       no other event is due at or before our clock. (A re-enqueued thread
+       gets a fresh, maximal seq, so any queued event with key <= clock
+       pops first; if none exists the round trip is pure overhead.) The
+       yield must still happen past the hard deadline so that [run] stops
+       with this thread parked. *)
+    if th.clock > sched.hard_deadline || Event_queue.has_le sched.queue ~bound:th.clock
     then begin
       th.metrics.Metrics.yields <- th.metrics.Metrics.yields + 1;
       if Tracer.enabled sched.tracer then
@@ -320,39 +291,41 @@ let suspend th =
 let ready th =
   if not th.suspended then invalid_arg "Sched.ready: thread is not suspended";
   th.suspended <- false;
-  enqueue th.sched ~key:th.clock th.resume_task
+  enqueue th
 
-(* The two park closures are built once per spawn, not once per effect:
-   the handler returns the same [Some] for every yield of the thread. *)
+(* A spawn starts the coroutine at once and parks it before the first
+   instruction of [body], so every queued thread has a parked continuation
+   and [run] has one way to dispatch. The two park closures are built once
+   per spawn, not once per effect: the handler returns the same [Some] for
+   every yield of the thread. *)
 let spawn sched th body =
+  if Event_queue.mem sched.queue th.tid || th.suspended then
+    failwith (Printf.sprintf "Sched.spawn: thread %d is already queued or suspended" th.tid);
   let park_yield =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
-        if not th.sched.stopped then begin
-          th.pending <- Some k;
-          enqueue th.sched ~key:th.clock th.resume_task
-        end)
+        th.pending <- Some k;
+        enqueue th)
   in
   let park_suspend =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
-        if not th.sched.stopped then begin
-          th.pending <- Some k;
-          th.suspended <- true
-        end)
+        th.pending <- Some k;
+        th.suspended <- true)
   in
-  let handled () =
-    Effect.Deep.match_with body th
-      {
-        Effect.Deep.retc = (fun () -> ());
-        exnc = (fun e -> raise e);
-        effc =
-          (fun (type a) (eff : a Effect.t) :
-               ((a, unit) Effect.Deep.continuation -> unit) option ->
-            match eff with Yield -> park_yield | Suspend -> park_suspend | _ -> None);
-      }
-  in
-  enqueue sched ~key:th.clock (Run handled)
+  Effect.Deep.match_with
+    (fun th ->
+      Effect.perform Yield;
+      body th)
+    th
+    {
+      Effect.Deep.retc = (fun () -> ());
+      exnc = (fun e -> raise e);
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with Yield -> park_yield | Suspend -> park_suspend | _ -> None);
+    }
 
 (* -- thread lifecycle (churn) -------------------------------------------- *)
 
@@ -385,8 +358,8 @@ let retire sched ~tid =
 (* Re-spawn a retired thread at virtual time [at] (>= its clock). The
    downtime is charged as idle immediately — the thread's clock equals
    [at] when the spawn event pops, and dispatch order stays a pure
-   function of (key, seq), so respawns are deterministic. [spawn_pending]
-   guards against enqueuing two coroutines for one thread. *)
+   function of (key, seq), so respawns are deterministic. A retired
+   thread whose slot is queued already has a respawn scheduled. *)
 let respawn sched ~tid ~at body =
   if tid < 0 || tid >= sched.n_threads then
     failwith
@@ -394,16 +367,14 @@ let respawn sched ~tid ~at body =
          (sched.n_threads - 1));
   let th = sched.threads.(tid) in
   if th.alive then failwith (Printf.sprintf "Sched.respawn: thread %d is still alive" tid);
-  if th.spawn_pending then
+  if Event_queue.mem sched.queue tid then
     failwith (Printf.sprintf "Sched.respawn: thread %d already has a respawn scheduled" tid);
   if at < th.clock then
     failwith
       (Printf.sprintf "Sched.respawn: thread %d spawn time %d is before its clock %d" tid at
          th.clock);
-  th.spawn_pending <- true;
   wait th Metrics.Idle (at - th.clock);
   spawn sched th (fun th ->
-      th.spawn_pending <- false;
       th.alive <- true;
       th.metrics.Metrics.thread_spawns <- th.metrics.Metrics.thread_spawns + 1;
       if Tracer.enabled sched.tracer then begin
@@ -413,49 +384,27 @@ let respawn sched ~tid ~at body =
       end;
       body th)
 
-let exec = function
-  | Run f -> f ()
-  | Resume th -> (
-      match th.pending with
-      | Some k ->
-          th.pending <- None;
-          Effect.Deep.continue k ()
-      | None -> assert false)
-
-(* Run until no runnable thread remains. Threads still suspended on a lock
-   when the queue drains are abandoned (their continuations are dropped),
-   which models the end of a timed trial. The sentinel compare (instead of
-   an option) keeps the dispatch loop allocation-free per event. *)
-let run sched =
-  let q = sched.queue in
-  let rec loop () =
-    let t = Wheel.pop_le_default q ~bound:max_int in
-    if is_live t then begin
-      exec t;
-      loop ()
-    end
-  in
-  loop ()
-
 let set_hard_deadline sched ns = sched.hard_deadline <- ns
 
 (* Run until no runnable thread remains or virtual time would pass the hard
-   deadline: at that point remaining continuations are abandoned, modelling
-   the end of a wall-clock-limited trial even if some thread is stuck in an
-   enormous batch free. The deadline is a plain field read per event (set
-   mid-run via [set_hard_deadline]) and the queue is touched once per event
-   ([pop_le_default]), keeping the dispatch loop allocation- and
-   indirection-free. *)
-let run_until sched =
-  let q = sched.queue in
+   deadline (default [max_int], none). Threads still suspended when the
+   queue drains, or queued past the deadline, are abandoned with their
+   continuations: the end of a timed trial, even if some thread is stuck
+   in an enormous batch free. The deadline is a plain field read per event,
+   so it can be set mid-run, and the slot compare (instead of an option)
+   keeps the loop allocation-free per event. *)
+let run sched =
+  let q = sched.queue and threads = sched.threads in
   let rec loop () =
-    let t = Wheel.pop_le_default q ~bound:sched.hard_deadline in
-    if is_live t then begin
-      exec t;
+    let tid = Event_queue.pop_le_default q ~bound:sched.hard_deadline in
+    if tid >= 0 then begin
+      let th = threads.(tid) in
+      (match th.pending with
+      | Some k ->
+          th.pending <- None;
+          Effect.Deep.continue k ()
+      | None -> assert false);
       loop ()
     end
-    else if not (Wheel.is_empty q) then sched.stopped <- true
   in
   loop ()
-
-let stop sched = sched.stopped <- true

@@ -24,11 +24,7 @@ type hooks = {
 
 val no_hooks : unit -> hooks
 
-(** Event-queue payload: a one-off thunk or a thread's reusable resume cell
-    (the hot checkpoint cycle enqueues the latter, allocating nothing). *)
-type task
-
-and thread = {
+type thread = {
   tid : int;
   socket : int;  (** socket under the paper's pinning policy *)
   core : int;
@@ -44,12 +40,9 @@ and thread = {
   mutable next_preempt : int;
       (** next involuntary context switch under oversubscription *)
   mutable pending : (unit, unit) Effect.Deep.continuation option;
-      (** parked continuation while enqueued or suspended *)
+      (** parked continuation while queued or suspended *)
   mutable suspended : bool;  (** blocked on {!suspend}, waiting for {!ready} *)
-  mutable resume_task : task;  (** this thread's resume cell, allocated once *)
   mutable alive : bool;  (** false between {!retire} and the next {!respawn} *)
-  mutable spawn_pending : bool;
-      (** a {!respawn} event is enqueued but has not executed yet *)
   mutable teardown : (thread -> unit) list;
       (** teardown hooks (see {!on_teardown}); registration order is
           recovered by {!retire}, and the list persists across
@@ -65,8 +58,9 @@ val create :
     threads share logical CPUs and are periodically preempted for whole
     timeslices (the paper's 240-thread configuration).
 
-    One event loop dispatches every thread from one {!Wheel}, in exact
-    [(clock, seq)] order.
+    One event loop dispatches every thread from one {!Event_queue}, a
+    tournament tree with one slot per thread, in exact [(clock, seq)]
+    order.
     @raise Invalid_argument when [n_threads <= 0]. *)
 
 val threads : t -> thread array
@@ -137,7 +131,9 @@ val ready : thread -> unit
     @raise Invalid_argument if the thread is not suspended. *)
 
 val spawn : t -> thread -> (thread -> unit) -> unit
-(** Schedule [body] to run on [thread] at its current clock. *)
+(** Schedule [body] to run on [thread] at its current clock.
+    @raise Failure naming the thread when it is already queued or
+    suspended: a thread has one coroutine and at most one queued event. *)
 
 val on_teardown : thread -> (thread -> unit) -> unit
 (** Register a teardown hook, run by {!retire} in registration order. The
@@ -165,17 +161,13 @@ val respawn : t -> tid:int -> at:int -> (thread -> unit) -> unit
     @raise Failure on an unknown tid, a tid that is still alive, a respawn
     already scheduled for this tid, or [at] before the thread's clock. *)
 
-val run : t -> unit
-(** Run until no runnable thread remains. *)
-
 val set_hard_deadline : t -> int -> unit
-(** Set the {!run_until} cutoff (virtual ns). May be called mid-run, e.g.
-    once the last thread finishes prefilling and the measured window — and
-    therefore the cutoff — becomes known. Defaults to [max_int] (no cutoff). *)
+(** Set the {!run} cutoff (virtual ns). May be called mid-run, e.g. once
+    the last thread finishes prefilling and the measured window — and
+    therefore the cutoff — becomes known. Defaults to [max_int] (no
+    cutoff). *)
 
-val run_until : t -> unit
-(** As {!run}, but abandon all remaining work once virtual time would pass
-    the hard deadline set via {!set_hard_deadline} — the end of a
-    wall-clock-limited trial. *)
-
-val stop : t -> unit
+val run : t -> unit
+(** Run until no runnable thread remains or virtual time would pass the
+    hard deadline set via {!set_hard_deadline}; the remaining work is then
+    abandoned — the end of a wall-clock-limited trial. *)

@@ -1,6 +1,7 @@
 (* Reference ABtree for the differential test in [Test_ds]: the
    copy-on-write implementation [Ds.Abtree] replaced, kept as the oracle
-   for the in-place one, the way [Heap] is the reference for [Wheel].
+   for the in-place one, the way [Heap] is the reference for
+   [Simcore.Event_queue].
 
    Every update builds new OCaml key arrays and leaf records and keeps the
    path as a [(node, index)] list. Its allocator calls, [visited] counts

@@ -165,53 +165,36 @@ let test_flush_refill_zero_alloc () =
   Alcotest.(check (float 0.)) "minor words on flush/refill path" 0. !extra_words
 
 (* The event-queue dispatch path — pop the minimum, re-push it ahead, the
-   per-yield cycle of the scheduler loop — must not touch the minor heap
-   in steady state, under the wheel exactly as under the heap (the PR 4
-   zero-allocation discipline extended to the wheel's staging, cascade and
-   overflow machinery). Strides follow the cost model's op-scale deltas
-   (a few hundred ns), the same regime a trial keeps the wheel in: each
-   cycle laps the level-0 ring and crosses level-1 buckets, so cascades
-   run during the measured window, while the warm cycles have already
-   grown every ring slot the measured cycle can touch. (Entering virgin
-   level-2 territory grows that slot's bucket once — first-touch cost,
-   not steady state, so the strides here keep the measured cycle out of
-   it.) *)
+   per-yield cycle of the scheduler loop — must not touch the minor heap in
+   steady state. Strides follow the cost model's op-scale deltas (a few
+   hundred ns), the regime a trial keeps the queue in. The tree grows only
+   when a new slot exceeds its capacity, which the pushes before the
+   measured window have already done. *)
 let test_queue_dispatch_zero_alloc () =
-  List.iter
-    (fun kind ->
-      let q = Event_queue.create ~kind ~dummy:(-1) in
-      let n = 32 in
-      let keys = Array.make n 0 in
-      let seq = ref 0 in
-      for i = 0 to n - 1 do
-        incr seq;
-        keys.(i) <- i * 211;
-        Event_queue.push q ~key:keys.(i) ~seq:!seq i
-      done;
-      let cycle () =
-        for _ = 1 to 4096 do
-          let x = Event_queue.pop_le_default q ~bound:max_int in
-          incr seq;
-          keys.(x) <- keys.(x) + 211 + (97 * (x land 7));
-          Event_queue.push q ~key:keys.(x) ~seq:!seq x
-        done
-      in
-      (* Growth is amortized: bucket arrays at every ring slot (the slots
-         hit shift phase as keys advance) must have seen their peak
-         occupancy before the measured cycle. *)
-      for _ = 1 to 24 do
-        cycle ()
-      done;
-      let m0 = Gc.minor_words () in
-      let m1 = Gc.minor_words () in
-      let probe_overhead = m1 -. m0 in
-      cycle ();
-      let m2 = Gc.minor_words () in
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "minor words on %s dispatch path" (Event_queue.to_string kind))
-        0.
-        (m2 -. m1 -. probe_overhead))
-    [ Event_queue.Heap; Event_queue.Wheel ]
+  let q = Event_queue.create ~kind:Event_queue.Tree ~dummy:(-1) in
+  let n = 32 in
+  let keys = Array.make n 0 in
+  let seq = ref 0 in
+  for i = 0 to n - 1 do
+    incr seq;
+    keys.(i) <- i * 211;
+    Event_queue.push q ~key:keys.(i) ~seq:!seq i
+  done;
+  let cycle () =
+    for _ = 1 to 4096 do
+      let x = Event_queue.pop_le_default q ~bound:max_int in
+      incr seq;
+      keys.(x) <- keys.(x) + 211 + (97 * (x land 7));
+      Event_queue.push q ~key:keys.(x) ~seq:!seq x
+    done
+  in
+  cycle ();
+  let m0 = Gc.minor_words () in
+  let m1 = Gc.minor_words () in
+  let probe_overhead = m1 -. m0 in
+  cycle ();
+  let m2 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words on the dispatch path" 0. (m2 -. m1 -. probe_overhead)
 
 (* The yield round trip (checkpoint, park, dispatch, resume) allocates
    only the runtime's continuation and the [Some] that parks it: the effect

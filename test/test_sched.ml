@@ -117,7 +117,7 @@ let test_run_until_cutoff () =
         Sched.checkpoint th
       done);
   Sched.set_hard_deadline sched 10_500;
-  Sched.run_until sched;
+  Sched.run sched;
   Alcotest.(check bool) "stopped near the deadline" true (!reached >= 10 && !reached <= 11)
 
 let test_work_n_matches_loop () =
@@ -226,12 +226,44 @@ let test_yield_counters () =
   Alcotest.(check int) "every checkpoint counted" (96 * 5) total
 
 let test_empty_run_terminates () =
-  (* A scheduler with nothing spawned must return immediately from both
-     loops. *)
+  (* A scheduler with nothing spawned must return immediately, with or
+     without a hard deadline. *)
   Sched.run (Helpers.make_sched ~n:4 ());
   let bounded = Helpers.make_sched ~n:4 () in
   Sched.set_hard_deadline bounded 1_000;
-  Sched.run_until bounded
+  Sched.run bounded
+
+(* A thread has one coroutine and at most one queued event: a second spawn
+   while the first is queued, or while the thread is suspended, fails
+   naming the thread instead of running two bodies on one record. *)
+let test_spawn_twice_fails () =
+  let failure_of f = match f () with () -> "" | exception Failure msg -> msg in
+  let sched = Helpers.make_sched ~n:2 () in
+  Sched.spawn sched (Sched.thread sched 1) ignore;
+  let queued = failure_of (fun () -> Sched.spawn sched (Sched.thread sched 1) ignore) in
+  Sched.spawn sched (Sched.thread sched 0) Sched.suspend;
+  Sched.run sched;
+  let suspended = failure_of (fun () -> Sched.spawn sched (Sched.thread sched 0) ignore) in
+  Alcotest.(check bool) "queued thread" true (Helpers.contains queued "thread 1");
+  Alcotest.(check bool) "suspended thread" true (Helpers.contains suspended "thread 0")
+
+(* Elision is exact: a checkpoint yields iff another event is due at or
+   before the thread's clock. Thread 0's second checkpoint, at 520 ns,
+   finds only thread 1's event at 600 ns, so it must not yield. *)
+let test_exact_elision () =
+  let sched = Helpers.make_sched ~n:2 () in
+  Sched.spawn sched (Sched.thread sched 0) (fun th ->
+      Sched.work ~scaled:false th Metrics.Ds 100;
+      Sched.checkpoint th;
+      Sched.work ~scaled:false th Metrics.Ds 420;
+      Sched.checkpoint th);
+  Sched.spawn sched (Sched.thread sched 1) (fun th ->
+      Sched.work ~scaled:false th Metrics.Ds 600;
+      Sched.checkpoint th);
+  Sched.run sched;
+  let m = (Sched.thread sched 0).Sched.metrics in
+  Alcotest.(check int) "first checkpoint yields" 1 m.Metrics.yields;
+  Alcotest.(check int) "second checkpoint elided" 1 m.Metrics.elided_yields
 
 let suite =
   ( "sched",
@@ -253,4 +285,6 @@ let suite =
       Helpers.quick "oversubscription" test_oversubscription;
       Helpers.quick "yield_counters" test_yield_counters;
       Helpers.quick "empty_run_terminates" test_empty_run_terminates;
+      Helpers.quick "spawn_twice_fails" test_spawn_twice_fails;
+      Helpers.quick "exact_elision" test_exact_elision;
     ] )
