@@ -89,7 +89,11 @@ trace-smoke:
 # in all). A run exits non-zero when a trial failed — a grace-period
 # violation, or a digest at seed 42 that differs from regress/baselines/ —
 # so this gates the paper-tier entries the benchmark runs on every change,
-# not only in the scheduled paper-scale job. Timings are not gated here.
+# not only in the scheduled paper-scale job. One traced run of the n192
+# control workload (~20 s) also fails when a traced digest differs from the
+# untraced one or the trace ring drops events, and it runs the per-layer
+# micro-benchmarks, the event-queue dispatch micro among them. Timings are
+# not gated here.
 PERF_WORKLOADS = $(shell sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)
 perf-smoke:
 	@test -n "$(PERF_WORKLOADS)" || { echo "perf-smoke: no workloads in BENCHMARK.json"; exit 1; }
@@ -97,6 +101,8 @@ perf-smoke:
 		echo "perf-smoke: $$w"; \
 		dune exec perf/main.exe -- run --workload $$w --seconds 1 || exit 1; \
 	done
+	@echo "perf-smoke: leak-token-192 traced"
+	dune exec perf/main.exe -- run --workload leak-token-192 --seconds 1 --trace 1
 
 # Paper-scale tier: the 192-thread configurations of the paper's headline
 # figures (ABtree on the 4-socket topology, all six allocator models x

@@ -54,8 +54,11 @@ type thread = {
 }
 
 and t = {
-  queue : Event_queue.t;  (* the one event queue: slot = tid, keyed (clock, seq) *)
+  queue : Event_queue.t;
+      (* the one event queue: slot = tid, keyed (clock, seq); the running
+         thread keeps its slot *)
   mutable seq : int;
+  mutable running : int;  (* the tid [run] dispatched, -1 when none runs *)
   cost : Cost_model.t;
   topology : Topology.t;
   n_threads : int;
@@ -71,7 +74,9 @@ and t = {
 }
 
 (* Constant constructors: performing one allocates no payload. The
-   handler [spawn] installs already knows the thread it runs. *)
+   handler [spawn] installs already knows the thread it runs, and only
+   parks it: a yield or a suspend has already re-keyed or freed the
+   thread's slot. *)
 type _ Effect.t += Yield : unit Effect.t
 type _ Effect.t += Suspend : unit Effect.t
 
@@ -83,6 +88,7 @@ let create ?(cost = Cost_model.default) ~topology ~n_threads ~seed () =
     {
       queue = Event_queue.create ~kind:Event_queue.Tree ~dummy:(-1);
       seq = 0;
+      running = -1;
       cost;
       topology;
       n_threads;
@@ -133,10 +139,17 @@ let set_tracer t tr =
 
 let tracer t = t.tracer
 
-let enqueue th =
-  let sched = th.sched in
+let next_seq sched =
   sched.seq <- sched.seq + 1;
-  Event_queue.push sched.queue ~key:th.clock ~seq:sched.seq th.tid
+  sched.seq
+
+(* Only the dispatched thread holds a slot it may re-key or free. Out of
+   line: the check that calls it sits on every checkpoint. *)
+let not_running fn th =
+  failwith
+    (Printf.sprintf "Sched.%s: thread %d is not the running thread (%s)" fn th.tid
+       (if th.sched.running < 0 then "no thread is running"
+        else Printf.sprintf "thread %d is" th.sched.running))
 
 (* Advance [th]'s clock by [ns] of *CPU work*, scaled by the SMT factor and
    attributed to [bucket]. Does not yield. *)
@@ -208,6 +221,7 @@ let maybe_preempt th =
 let checkpoint th =
   if th.atomic_depth = 0 then begin
     let sched = th.sched in
+    if sched.running <> th.tid then not_running "checkpoint" th;
     (* Both calls are self-guarded no-ops in the common case (tracing off,
        not oversubscribed); the guards here just skip the calls on the
        per-event hot path. *)
@@ -230,14 +244,13 @@ let checkpoint th =
             Tracer.advance_run tr ~tid:th.tid ~now:th.clock
           end
         end);
-    (* Elide the yield when this thread would only pop itself right back:
-       no other event is due at or before our clock. (A re-enqueued thread
-       gets a fresh, maximal seq, so any queued event with key <= clock
-       pops first; if none exists the round trip is pure overhead.) The
-       yield must still happen past the hard deadline so that [run] stops
-       with this thread parked. *)
-    if th.clock > sched.hard_deadline || Event_queue.has_le sched.queue ~bound:th.clock
-    then begin
+    (* Re-key the running slot in place: one replay. The fresh seq is
+       maximal, so any other event with key <= clock now orders first; if
+       none exists the root is still this thread and the yield is elided.
+       The yield must still happen past the hard deadline so that [run]
+       stops with this thread parked. *)
+    let root = Event_queue.rekey sched.queue ~key:th.clock ~seq:(next_seq sched) th.tid in
+    if th.clock > sched.hard_deadline || root <> th.tid then begin
       th.metrics.Metrics.yields <- th.metrics.Metrics.yields + 1;
       if Tracer.enabled sched.tracer then
         Tracer.instant sched.tracer Tracer.Yield ~tid:th.tid ~ts:th.clock ~a:1 ~b:0;
@@ -275,10 +288,11 @@ let atomically th f =
 let[@inline] atomic_enter th = th.atomic_depth <- th.atomic_depth + 1
 let[@inline] atomic_exit th = th.atomic_depth <- th.atomic_depth - 1
 
-(* Block until another thread calls [ready]. Suspending inside an atomic
-   section would let other threads run in the middle of a linearizable
-   operation (which may hold, say, a descent path through a tree that
-   they then change), so it fails loudly instead. *)
+(* Block until another thread calls [ready]: free the running slot, then
+   park. Suspending inside an atomic section would let other threads run
+   in the middle of a linearizable operation (which may hold, say, a
+   descent path through a tree that they then change), so it fails loudly
+   instead. *)
 let suspend th =
   if th.atomic_depth > 0 then
     failwith
@@ -286,26 +300,31 @@ let suspend th =
          "Sched.suspend: thread %d would block inside an atomic section (depth %d); \
           atomic blocks must not wait on another thread"
          th.tid th.atomic_depth);
+  let sched = th.sched in
+  if sched.running <> th.tid then not_running "suspend" th;
+  Event_queue.remove sched.queue th.tid;
   Effect.perform Suspend
 
 let ready th =
   if not th.suspended then invalid_arg "Sched.ready: thread is not suspended";
   th.suspended <- false;
-  enqueue th
+  let sched = th.sched in
+  Event_queue.push sched.queue ~key:th.clock ~seq:(next_seq sched) th.tid
 
 (* A spawn starts the coroutine at once and parks it before the first
    instruction of [body], so every queued thread has a parked continuation
-   and [run] has one way to dispatch. The two park closures are built once
-   per spawn, not once per effect: the handler returns the same [Some] for
-   every yield of the thread. *)
+   and [run] has one way to dispatch; then it queues the thread. The two
+   park closures are built once per spawn, not once per effect: the
+   handler returns the same [Some] for every yield of the thread. A queued or
+   suspended thread has a parked continuation, and the running thread has
+   none, so the running thread may respawn itself: it still holds its
+   slot, which it re-keys and hands to the new coroutine. The calling body
+   no longer runs that slot, so a checkpoint or suspend from it fails. *)
 let spawn sched th body =
-  if Event_queue.mem sched.queue th.tid || th.suspended then
+  if Option.is_some th.pending then
     failwith (Printf.sprintf "Sched.spawn: thread %d is already queued or suspended" th.tid);
   let park_yield =
-    Some
-      (fun (k : (unit, unit) Effect.Deep.continuation) ->
-        th.pending <- Some k;
-        enqueue th)
+    Some (fun (k : (unit, unit) Effect.Deep.continuation) -> th.pending <- Some k)
   in
   let park_suspend =
     Some
@@ -325,7 +344,13 @@ let spawn sched th body =
         (fun (type a) (eff : a Effect.t) :
              ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with Yield -> park_yield | Suspend -> park_suspend | _ -> None);
-    }
+    };
+  let seq = next_seq sched in
+  if sched.running = th.tid then begin
+    ignore (Event_queue.rekey sched.queue ~key:th.clock ~seq th.tid : int);
+    sched.running <- -1
+  end
+  else Event_queue.push sched.queue ~key:th.clock ~seq th.tid
 
 (* -- thread lifecycle (churn) -------------------------------------------- *)
 
@@ -359,7 +384,7 @@ let retire sched ~tid =
    downtime is charged as idle immediately — the thread's clock equals
    [at] when the spawn event pops, and dispatch order stays a pure
    function of (key, seq), so respawns are deterministic. A retired
-   thread whose slot is queued already has a respawn scheduled. *)
+   thread with a parked continuation already has a respawn scheduled. *)
 let respawn sched ~tid ~at body =
   if tid < 0 || tid >= sched.n_threads then
     failwith
@@ -367,7 +392,7 @@ let respawn sched ~tid ~at body =
          (sched.n_threads - 1));
   let th = sched.threads.(tid) in
   if th.alive then failwith (Printf.sprintf "Sched.respawn: thread %d is still alive" tid);
-  if Event_queue.mem sched.queue tid then
+  if Option.is_some th.pending then
     failwith (Printf.sprintf "Sched.respawn: thread %d already has a respawn scheduled" tid);
   if at < th.clock then
     failwith
@@ -392,19 +417,28 @@ let set_hard_deadline sched ns = sched.hard_deadline <- ns
    continuations: the end of a timed trial, even if some thread is stuck
    in an enormous batch free. The deadline is a plain field read per event,
    so it can be set mid-run, and the slot compare (instead of an option)
-   keeps the loop allocation-free per event. *)
+   keeps the loop allocation-free per event.
+
+   The dispatched thread keeps its slot while it runs. When [continue]
+   returns, the thread has re-keyed it and yielded, freed it and
+   suspended, or finished its body, the one case that leaves no parked
+   continuation: then its slot is freed here. Not in the handler's [retc]:
+   when a body respawns its own thread, [retc] runs after the new body's
+   event is already queued in the slot. *)
 let run sched =
   let q = sched.queue and threads = sched.threads in
   let rec loop () =
-    let tid = Event_queue.pop_le_default q ~bound:sched.hard_deadline in
+    let tid = Event_queue.peek_le_default q ~bound:sched.hard_deadline in
     if tid >= 0 then begin
       let th = threads.(tid) in
-      (match th.pending with
+      match th.pending with
       | Some k ->
           th.pending <- None;
-          Effect.Deep.continue k ()
-      | None -> assert false);
-      loop ()
+          sched.running <- tid;
+          Effect.Deep.continue k ();
+          if Option.is_none th.pending then Event_queue.remove q tid;
+          loop ()
+      | None -> assert false
     end
   in
-  loop ()
+  Fun.protect ~finally:(fun () -> sched.running <- -1) loop

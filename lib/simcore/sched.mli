@@ -60,7 +60,8 @@ val create :
 
     One event loop dispatches every thread from one {!Event_queue}, a
     tournament tree with one slot per thread, in exact [(clock, seq)]
-    order.
+    order. The running thread keeps its slot, so a context switch costs
+    one path replay.
     @raise Invalid_argument when [n_threads <= 0]. *)
 
 val threads : t -> thread array
@@ -97,8 +98,13 @@ val wait : thread -> Metrics.bucket -> int -> unit
 val now : thread -> int
 
 val checkpoint : thread -> unit
-(** Yield; resumes when this thread is again minimal. Suppressed inside
-    {!atomically}. *)
+(** Yield; resumes when this thread is again minimal. The running thread
+    holds its slot: the checkpoint re-keys it to [(clock, fresh seq)] and
+    yields iff another thread is now at the root (some other event is due
+    at or before [clock]) or [clock] is past the hard deadline; otherwise
+    the yield is elided. Suppressed inside {!atomically}.
+    @raise Failure naming the thread when it is not the one {!run}
+    dispatched: outside {!run}, or on another thread's record. *)
 
 val set_controller : t -> (thread -> int) option -> unit
 (** Install (or remove) a {e schedule controller}, consulted at every
@@ -121,17 +127,23 @@ val atomic_exit : thread -> unit
     every path out of the block, including exceptional ones. *)
 
 val suspend : thread -> unit
-(** Block until {!ready}.
+(** Block until {!ready}. The running thread frees the slot it holds, then
+    parks.
     @raise Failure (naming the thread and the depth) inside {!atomically}
     or an {!atomic_enter} bracket: other threads must not run in the middle
-    of an atomic operation. *)
+    of an atomic operation; and naming the thread when it is not the one
+    {!run} dispatched. *)
 
 val ready : thread -> unit
 (** Make a suspended thread runnable at its current clock.
     @raise Invalid_argument if the thread is not suspended. *)
 
 val spawn : t -> thread -> (thread -> unit) -> unit
-(** Schedule [body] to run on [thread] at its current clock.
+(** Schedule [body] to run on [thread] at its current clock: the coroutine
+    starts and parks before [body]'s first instruction, then the thread is
+    queued. The running thread may spawn (respawn) itself: it still holds
+    its slot, which is re-keyed and handed to the new body, and the rest of
+    the calling body must not checkpoint or suspend.
     @raise Failure naming the thread when it is already queued or
     suspended: a thread has one coroutine and at most one queued event. *)
 
@@ -170,4 +182,7 @@ val set_hard_deadline : t -> int -> unit
 val run : t -> unit
 (** Run until no runnable thread remains or virtual time would pass the
     hard deadline set via {!set_hard_deadline}; the remaining work is then
-    abandoned — the end of a wall-clock-limited trial. *)
+    abandoned — the end of a wall-clock-limited trial. Each dispatch
+    resumes the thread at the root without removing it: the running thread
+    holds its slot until it yields (re-keyed), suspends (freed) or finishes
+    its body (freed when the dispatch returns). *)

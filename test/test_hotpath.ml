@@ -110,15 +110,16 @@ let prop_group_matches_stable_sort =
    allocator model, captured on the pre-optimization tree. The hot-path
    changes (slice grouping, drop_front splices, batched work_n charging)
    claim bit-identical virtual-time behaviour; any divergence shows up here
-   as a digest mismatch. *)
+   as a digest mismatch. Each digest comes with its traced run's performed
+   and elided yields (see [check_digest]). *)
 let expected_digests =
   [
-    ("jemalloc", "02a94cde69fd78edd8191df63dd608e0");
-    ("jemalloc-ba", "ebc05c33934f036cb46ecdbc59fa059e");
-    ("tcmalloc", "0d60921c876dca31acc2f2603d3565b6");
-    ("mimalloc", "581ecfa9cb72b5778f9beb191330bc43");
-    ("leak", "f9801598a07deaace8a08121da03575d");
-    ("jemalloc-pool", "b4ea8801d9dd74e5dfb5ba980aba3966");
+    ("jemalloc", ("02a94cde69fd78edd8191df63dd608e0", 2316, 390));
+    ("jemalloc-ba", ("ebc05c33934f036cb46ecdbc59fa059e", 2332, 384));
+    ("tcmalloc", ("0d60921c876dca31acc2f2603d3565b6", 2296, 370));
+    ("mimalloc", ("581ecfa9cb72b5778f9beb191330bc43", 2347, 799));
+    ("leak", ("f9801598a07deaace8a08121da03575d", 2348, 308));
+    ("jemalloc-pool", ("b4ea8801d9dd74e5dfb5ba980aba3966", 2330, 351));
   ]
 
 (* The flush+refill hot path with tracing disabled (the default) must not
@@ -164,12 +165,13 @@ let test_flush_refill_zero_alloc () =
   Sched.run sched;
   Alcotest.(check (float 0.)) "minor words on flush/refill path" 0. !extra_words
 
-(* The event-queue dispatch path — pop the minimum, re-push it ahead, the
-   per-yield cycle of the scheduler loop — must not touch the minor heap in
-   steady state. Strides follow the cost model's op-scale deltas (a few
-   hundred ns), the regime a trial keeps the queue in. The tree grows only
-   when a new slot exceeds its capacity, which the pushes before the
-   measured window have already done. *)
+(* The event-queue dispatch paths must not touch the minor heap in steady
+   state: pop the minimum and re-push it ahead (the cycle perf/ times),
+   and the scheduler's own cycle, which reads the root, re-keys it ahead
+   and reads the new root. Strides follow the cost model's op-scale
+   deltas (a few hundred ns), the regime a trial keeps the queue in. The
+   tree grows only when a new slot exceeds its capacity, which the pushes
+   before the measured window have already done. *)
 let test_queue_dispatch_zero_alloc () =
   let q = Event_queue.create ~kind:Event_queue.Tree ~dummy:(-1) in
   let n = 32 in
@@ -180,21 +182,36 @@ let test_queue_dispatch_zero_alloc () =
     keys.(i) <- i * 211;
     Event_queue.push q ~key:keys.(i) ~seq:!seq i
   done;
-  let cycle () =
+  let advance x =
+    incr seq;
+    keys.(x) <- keys.(x) + 211 + (97 * (x land 7))
+  in
+  let pop_push () =
     for _ = 1 to 4096 do
       let x = Event_queue.pop_le_default q ~bound:max_int in
-      incr seq;
-      keys.(x) <- keys.(x) + 211 + (97 * (x land 7));
+      advance x;
       Event_queue.push q ~key:keys.(x) ~seq:!seq x
     done
   in
-  cycle ();
-  let m0 = Gc.minor_words () in
-  let m1 = Gc.minor_words () in
-  let probe_overhead = m1 -. m0 in
-  cycle ();
-  let m2 = Gc.minor_words () in
-  Alcotest.(check (float 0.)) "minor words on the dispatch path" 0. (m2 -. m1 -. probe_overhead)
+  let rekey () =
+    let x = ref (Event_queue.peek_le_default q ~bound:max_int) in
+    for _ = 1 to 4096 do
+      advance !x;
+      ignore (Event_queue.rekey q ~key:keys.(!x) ~seq:!seq !x : int);
+      x := Event_queue.peek_le_default q ~bound:max_int
+    done
+  in
+  let words cycle =
+    cycle ();
+    let m0 = Gc.minor_words () in
+    let m1 = Gc.minor_words () in
+    let probe_overhead = m1 -. m0 in
+    cycle ();
+    let m2 = Gc.minor_words () in
+    m2 -. m1 -. probe_overhead
+  in
+  Alcotest.(check (float 0.)) "minor words on the pop/push path" 0. (words pop_push);
+  Alcotest.(check (float 0.)) "minor words on the re-key path" 0. (words rekey)
 
 (* The yield round trip (checkpoint, park, dispatch, resume) allocates
    only the runtime's continuation and the [Some] that parks it: the effect
@@ -261,15 +278,26 @@ let digest_base =
       { Alloc.Alloc_intf.default_config with Alloc.Alloc_intf.tcache_cap = 16 };
   }
 
-let check_digest label cfg expected =
+(* [expected] is the trial digest and the traced run's performed and
+   elided yields: its [Yield] instants counted by [a], as perf/ counts
+   them. Yield elision does not move virtual time, so the digest alone
+   would let a change to the yield decision pass unseen. *)
+let check_digest label cfg (digest, yields, elided) =
   let t = Runtime.Runner.run_trial cfg ~seed:cfg.Runtime.Config.seed in
-  Alcotest.(check string) label expected (Runtime.Trial.digest t);
+  Alcotest.(check string) label digest (Runtime.Trial.digest t);
   (* The same digest must hold with event tracing enabled: recording is
      invisible to virtual time. *)
   let tracer = Tracer.create () in
   let t = Runtime.Runner.run_trial ~tracer cfg ~seed:cfg.Runtime.Config.seed in
-  Alcotest.(check string) (label ^ " traced") expected (Runtime.Trial.digest t);
-  Alcotest.(check bool) (label ^ " trace non-empty") true (Tracer.recorded tracer > 0)
+  Alcotest.(check string) (label ^ " traced") digest (Runtime.Trial.digest t);
+  Alcotest.(check bool) (label ^ " trace non-empty") true (Tracer.recorded tracer > 0);
+  Alcotest.(check int) (label ^ " trace complete") 0 (Tracer.dropped tracer);
+  let performed = ref 0 and skipped = ref 0 in
+  Tracer.iter tracer (fun e ->
+      if e.Tracer.kind = Tracer.Yield then
+        if e.Tracer.a = 1 then incr performed else incr skipped);
+  Alcotest.(check (pair int int)) (label ^ " yields, elided") (yields, elided)
+    (!performed, !skipped)
 
 let test_digest_stability () =
   List.iter
@@ -283,9 +311,9 @@ let test_digest_stability () =
    must not move. *)
 let abtree_digests =
   [
-    ("debra", "585668aac7add32a8384f6d40201550e");
-    ("token_af", "a0ff11bed2633fa2f326180c8254407b");
-    ("hazard", "f3a5a84ac6e4da1b4014fe55af62b1fb");
+    ("debra", ("585668aac7add32a8384f6d40201550e", 83_597, 973));
+    ("token_af", ("a0ff11bed2633fa2f326180c8254407b", 94_240, 61));
+    ("hazard", ("f3a5a84ac6e4da1b4014fe55af62b1fb", 48_920, 295));
   ]
 
 let test_abtree_digest_stability () =

@@ -265,6 +265,43 @@ let test_exact_elision () =
   Alcotest.(check int) "first checkpoint yields" 1 m.Metrics.yields;
   Alcotest.(check int) "second checkpoint elided" 1 m.Metrics.elided_yields
 
+(* Only the running thread holds a slot it may re-key or free, so a
+   checkpoint or a suspend for any other thread fails naming that thread:
+   outside [run], where no thread runs, and inside [run] on another
+   thread's record, where a re-key would silently reorder a parked
+   thread. *)
+let failure_of f = match f () with () -> "" | exception Failure msg -> msg
+
+let test_checkpoint_outside_run_fails () =
+  let sched = Helpers.make_sched ~n:2 () in
+  let th = Sched.thread sched 1 in
+  let checkpoint = failure_of (fun () -> Sched.checkpoint th) in
+  let suspend = failure_of (fun () -> Sched.suspend th) in
+  Alcotest.(check bool) "checkpoint names the thread" true
+    (Helpers.contains checkpoint "thread 1" && Helpers.contains checkpoint "not the running");
+  Alcotest.(check bool) "suspend names the thread" true
+    (Helpers.contains suspend "thread 1" && Helpers.contains suspend "not the running");
+  Alcotest.(check bool) "the thread is not marked suspended" false th.Sched.suspended
+
+let test_checkpoint_other_thread_fails () =
+  let sched = Helpers.make_sched ~n:2 () in
+  let other = Sched.thread sched 1 in
+  let checkpoint = ref "" and suspend = ref "" in
+  Sched.spawn sched (Sched.thread sched 0) (fun th ->
+      Sched.work ~scaled:false th Metrics.Ds 100;
+      checkpoint := failure_of (fun () -> Sched.checkpoint other);
+      suspend := failure_of (fun () -> Sched.suspend other);
+      Sched.checkpoint th);
+  Sched.spawn sched other (fun th ->
+      Sched.work ~scaled:false th Metrics.Ds 500;
+      Sched.checkpoint th);
+  Sched.run sched;
+  Alcotest.(check bool) "checkpoint names both threads" true
+    (Helpers.contains !checkpoint "thread 1" && Helpers.contains !checkpoint "thread 0 is");
+  Alcotest.(check bool) "suspend names both threads" true
+    (Helpers.contains !suspend "thread 1" && Helpers.contains !suspend "thread 0 is");
+  Alcotest.(check int) "the parked thread still ran to its end" 500 (Sched.now other)
+
 let suite =
   ( "sched",
     [
@@ -287,4 +324,6 @@ let suite =
       Helpers.quick "empty_run_terminates" test_empty_run_terminates;
       Helpers.quick "spawn_twice_fails" test_spawn_twice_fails;
       Helpers.quick "exact_elision" test_exact_elision;
+      Helpers.quick "checkpoint_outside_run_fails" test_checkpoint_outside_run_fails;
+      Helpers.quick "checkpoint_other_thread_fails" test_checkpoint_other_thread_fails;
     ] )
