@@ -35,7 +35,8 @@ let strategy_arg =
 let budget_arg =
   Arg.(
     value & opt int 40
-    & info [ "budget" ] ~docv:"N" ~doc:"Schedules to explore per (scenario, strategy) pair.")
+    & info [ "budget" ] ~docv:"N"
+        ~doc:"Schedules to explore per (scenario, strategy) pair; at least 1.")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"First workload seed.")
@@ -55,7 +56,7 @@ let mutant_arg =
     value
     & opt (some string) None
     & info [ "mutant" ] ~docv:"NAME"
-        ~doc:"Seed a protocol bug into the retire path (see $(b,list)).")
+        ~doc:"Seed a protocol bug (see $(b,list) for each one and where it bites).")
 
 let trace_dir_arg =
   Arg.(
@@ -66,7 +67,7 @@ let max_traces_arg =
   Arg.(
     value & opt int 2
     & info [ "max-traces" ] ~docv:"N"
-        ~doc:"Counterexamples to shrink and save per (scenario, strategy) pair.")
+        ~doc:"Counterexamples to shrink and save per (scenario, strategy) pair; 0 saves none.")
 
 let no_shrink_arg =
   Arg.(value & flag & info [ "no-shrink" ] ~doc:"Save counterexamples without shrinking.")
@@ -108,7 +109,7 @@ let trace_path ~dir (t : Check.Trace.t) =
   Filename.concat dir
     (Printf.sprintf "%s--%s--%s--seed%d.json" (sanitize t.Check.Trace.scenario)
        (sanitize t.Check.Trace.strategy)
-       (Option.value ~default:"genuine" t.Check.Trace.mutant)
+       (Option.fold ~none:"genuine" ~some:Check.Mutant.to_name t.Check.Trace.mutant)
        t.Check.Trace.seed)
 
 (* Shrink, save and replay-verify one counterexample; returns false when
@@ -136,6 +137,8 @@ let emit_trace ~dir ~shrink sc (t : Check.Trace.t) =
 
 let run_cmd =
   let run scenario strategy budget seed jobs mutant_name trace_dir max_traces no_shrink =
+    if budget < 1 then die "simcheck: --budget must be at least 1 (got %d)" budget;
+    if max_traces < 0 then die "simcheck: --max-traces must not be negative (got %d)" max_traces;
     let jobs = resolve_jobs jobs in
     let scenarios = resolve_scenarios scenario in
     let strategies = resolve_strategies strategy in

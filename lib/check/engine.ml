@@ -22,7 +22,7 @@ let trace_of_failure (sc : Scenario.t) ~strategy ~mutant (r : run_result) =
           Trace.scenario = sc.Scenario.name;
           strategy;
           seed = r.outcome.Oracle.seed;
-          mutant = Option.map Mutant.to_name mutant;
+          mutant;
           decisions = r.decisions;
           failure;
           outcome_digest = Oracle.digest r.outcome;
@@ -39,6 +39,8 @@ type report = {
 }
 
 let explore ?jobs (sc : Scenario.t) ~spec ~strategy ~budget ~seed ~mutant =
+  if budget < 1 then
+    invalid_arg (Printf.sprintf "Engine.explore: budget %d, expected at least 1" budget);
   let results =
     List.init budget (fun i -> seed + i)
     |> Runtime.Pool.map ?jobs (fun seed -> run_one sc ~spec ~seed ~mutant)
@@ -74,9 +76,9 @@ let explore ?jobs (sc : Scenario.t) ~spec ~strategy ~budget ~seed ~mutant =
 (* Replay a trace: re-run the scenario under the recorded decision list.
    The run is bit-identical iff the outcome digest matches the trace. *)
 let replay ?tracer (sc : Scenario.t) (t : Trace.t) =
-  let mutant = Option.bind t.Trace.mutant Mutant.of_name in
   let r =
-    run_one ?tracer sc ~spec:(Strategy.Replay t.Trace.decisions) ~seed:t.Trace.seed ~mutant
+    run_one ?tracer sc ~spec:(Strategy.Replay t.Trace.decisions) ~seed:t.Trace.seed
+      ~mutant:t.Trace.mutant
   in
   (r.outcome, Oracle.digest r.outcome = t.Trace.outcome_digest)
 
@@ -86,13 +88,14 @@ let replay ?tracer (sc : Scenario.t) (t : Trace.t) =
    shrinking a large trace degrades gracefully instead of running O(n^2)
    simulations. *)
 let shrink ?(max_attempts = 400) (sc : Scenario.t) (t : Trace.t) =
-  let mutant = Option.bind t.Trace.mutant Mutant.of_name in
   let attempts = ref 0 in
   let still_fails decisions =
     if !attempts >= max_attempts then None
     else begin
       incr attempts;
-      let r = run_one sc ~spec:(Strategy.Replay decisions) ~seed:t.Trace.seed ~mutant in
+      let r =
+        run_one sc ~spec:(Strategy.Replay decisions) ~seed:t.Trace.seed ~mutant:t.Trace.mutant
+      in
       if Oracle.first_failure r.outcome = Some t.Trace.failure then Some r else None
     end
   in

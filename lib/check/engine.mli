@@ -31,7 +31,8 @@ val explore :
   mutant:Mutant.t option ->
   report
 (** Run [budget] schedules with consecutive seeds, fanned out over the
-    domain pool; the report is bit-identical to a sequential exploration. *)
+    domain pool; the report is bit-identical to a sequential exploration.
+    @raise Invalid_argument naming the budget when it is below 1. *)
 
 val replay : ?tracer:Simcore.Tracer.t -> Scenario.t -> Trace.t -> Oracle.outcome * bool
 (** Re-run a trace; [true] iff the outcome digest matches the trace

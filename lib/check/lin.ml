@@ -1,12 +1,12 @@
-(* Linearizability / sequential-consistency oracle.
+(* Linearizability / sequential-consistency oracle for the simulated set
+   scenarios (the par/* scenarios check safety with probes instead).
 
-   Every data structure operation is recorded as an event carrying its
-   invocation and response in virtual time plus its *linearization index*:
-   operations execute atomically in the simulator (Sched.atomically, or
-   between two checkpoints for the real lock-free structures driven as
-   coroutines), so the order in which the atomic bodies actually ran is a
-   total order of linearization points. The oracle replays the history in
-   that order against a sequential model of the abstract type and flags
+   Every set operation is recorded as an event carrying its invocation and
+   response in virtual time plus its *linearization index*: operations
+   execute atomically in the simulator (Sched.atomically), so the order in
+   which the atomic bodies actually ran is a total order of linearization
+   points. The oracle replays the history in that order against a
+   sequential set and flags
 
    - any operation whose observed result differs from the model's answer
      (a corrupted structure: the footprint of reclamation bugs), and
@@ -14,21 +14,12 @@
      real-time order (op B linearized before op A even though B was
      invoked after A responded) — the classic linearizability condition. *)
 
-type op =
-  | Insert of int
-  | Delete of int
-  | Contains of int
-  | Push of int
-  | Pop
-  | Peek
+type op = Insert of int | Delete of int | Contains of int
 
 let op_repr = function
   | Insert k -> Printf.sprintf "insert(%d)" k
   | Delete k -> Printf.sprintf "delete(%d)" k
   | Contains k -> Printf.sprintf "contains(%d)" k
-  | Push v -> Printf.sprintf "push(%d)" v
-  | Pop -> "pop"
-  | Peek -> "peek"
 
 type event = {
   exec : int;  (* linearization index: order the atomic bodies ran in *)
@@ -36,7 +27,7 @@ type event = {
   inv : int;  (* invocation, virtual ns *)
   resp : int;  (* response, virtual ns *)
   op : op;
-  result : int;  (* observed: 0/1 for set ops, value or -1 for pop/peek *)
+  result : int;  (* observed: 1 iff the operation found or changed the key *)
 }
 
 type t = { mutable events : event list; mutable next_exec : int }
@@ -114,55 +105,6 @@ let check_set t =
             if present then Hashtbl.remove model k;
             if present then 1 else 0
         | Contains k -> if Hashtbl.mem model k then 1 else 0
-        | (Push _ | Pop | Peek) as op ->
-            invalid_arg ("Lin.check_set: not a set operation: " ^ op_repr op)
-      in
-      if expected <> e.result then violations := mismatch e expected :: !violations)
-    sorted;
-  List.rev !violations @ check_realtime sorted
-
-(* Replay a stack history (push/pop/peek over values; -1 = empty). *)
-let check_stack t =
-  let sorted = events t in
-  let model = ref [] in
-  let violations = ref [] in
-  List.iter
-    (fun e ->
-      let expected =
-        match e.op with
-        | Push v ->
-            model := v :: !model;
-            v
-        | Pop -> (
-            match !model with
-            | [] -> -1
-            | v :: rest ->
-                model := rest;
-                v)
-        | Peek -> ( match !model with [] -> -1 | v :: _ -> v)
-        | (Insert _ | Delete _ | Contains _) as op ->
-            invalid_arg ("Lin.check_stack: not a stack operation: " ^ op_repr op)
-      in
-      if expected <> e.result then violations := mismatch e expected :: !violations)
-    sorted;
-  List.rev !violations @ check_realtime sorted
-
-(* Replay a queue history (push = enqueue, pop = dequeue, peek = front). *)
-let check_queue t =
-  let sorted = events t in
-  let model = Queue.create () in
-  let violations = ref [] in
-  List.iter
-    (fun e ->
-      let expected =
-        match e.op with
-        | Push v ->
-            Queue.push v model;
-            v
-        | Pop -> if Queue.is_empty model then -1 else Queue.pop model
-        | Peek -> if Queue.is_empty model then -1 else Queue.peek model
-        | (Insert _ | Delete _ | Contains _) as op ->
-            invalid_arg ("Lin.check_queue: not a queue operation: " ^ op_repr op)
       in
       if expected <> e.result then violations := mismatch e expected :: !violations)
     sorted;

@@ -1,16 +1,10 @@
-(** Linearizability / sequential-consistency oracle: record each
-    operation's invocation/response in virtual time plus its linearization
-    index, then replay against a sequential model of the set, stack or
-    queue. Flags result mismatches (corrupted structure) and real-time
-    order inversions. *)
+(** Linearizability / sequential-consistency oracle for the simulated set
+    scenarios: record each operation's invocation/response in virtual time
+    plus its linearization index, then replay against a sequential set.
+    Flags result mismatches (corrupted structure) and real-time order
+    inversions. *)
 
-type op =
-  | Insert of int
-  | Delete of int
-  | Contains of int
-  | Push of int
-  | Pop
-  | Peek
+type op = Insert of int | Delete of int | Contains of int
 
 val op_repr : op -> string
 
@@ -20,7 +14,7 @@ type event = {
   inv : int;  (** invocation, virtual ns *)
   resp : int;  (** response, virtual ns *)
   op : op;
-  result : int;  (** observed: 0/1 for set ops, value or -1 for pop/peek *)
+  result : int;  (** observed: 1 iff the operation found or changed the key *)
 }
 
 type t
@@ -41,8 +35,5 @@ val interleaving : t -> string
     ingredient). *)
 
 val check_set : t -> Oracle.violation list
-val check_stack : t -> Oracle.violation list
-
-val check_queue : t -> Oracle.violation list
-(** Replay against the sequential model, then check real-time order: no
+(** Replay against the sequential set, then check real-time order: no
     operation may respond before an earlier-linearized one was invoked. *)

@@ -2,73 +2,51 @@
    what they claim to catch (and for the CI self-test: a checker that
    never fails is indistinguishable from a checker that checks nothing).
 
-   Each mutant perturbs only the retire path — or, for the hazard-pointer
-   pair, the protect/validate read path — of the scenario under test; the
-   structure and the SMR implementation itself are untouched, so a caught
-   mutant demonstrates the oracle, not a broken build. The HP mutants only
-   have an effect in the hazard-pointer scenarios (a protect loop to skip
-   validation in, a retire list to drop entries from); elsewhere they run
-   the genuine protocol. *)
+   Each mutant perturbs one path of the scenario under test: the retire
+   path (the generic three), the protect/validate read path and the
+   retire list (the HP pair) or the thread-teardown chain (the churn
+   pair). The structure and the SMR implementation itself are untouched,
+   so a caught mutant demonstrates the oracle, not a broken build. The HP
+   pair only bites in par/hp/* and the churn pair in sim/churn/*;
+   elsewhere they run the genuine protocol, to the outcome digest. *)
 
 type t =
-  | Uaf_free_early  (* release at retire time: no grace period at all *)
-  | Uaf_short_grace  (* release one operation later: a too-short grace period *)
-  | Lost_callback  (* drop the release: a leak, caught by conservation *)
+  | Uaf_free_early
+  | Uaf_short_grace
+  | Lost_callback
   | Hp_skip_validate
-    (* use a protected value without re-validating the source after
-       publishing the hazard slot: the classic HP misuse, a use-after-free
-       when the object died between read and publish *)
   | Hp_drop_retired
-    (* silently drop every fifth hazard-pointer retire-list entry: the
-       scan never sees it, so the object leaks (conservation) *)
   | Churn_skip_handoff
-    (* thread teardown skips the reclaimer's participant deregistration:
-       a retiring token holder takes the token to the grave and the ring
-       stalls (liveness); churn scenarios only *)
   | Churn_skip_death_flush
-    (* thread teardown drops the dying thread's grace-proven freeable
-       backlog instead of flushing it to the allocator: the objects
-       vanish from every ledger (conservation); churn scenarios only *)
 
-let names =
+(* The one table: every mutant's CLI name and description (mutant.mli
+   documents each bug). [names], [to_name], [of_name] and [describe]
+   derive from it. *)
+let table =
   [
-    "uaf-free-early";
-    "uaf-short-grace";
-    "lost-callback";
-    "hp-skip-validate";
-    "hp-drop-retired";
-    "churn-skip-handoff";
-    "churn-skip-death-flush";
+    (Uaf_free_early, "uaf-free-early", "free retired objects immediately (no grace period)");
+    ( Uaf_short_grace,
+      "uaf-short-grace",
+      "free retired objects after one further operation (too-short grace)" );
+    (Lost_callback, "lost-callback", "drop release callbacks (leak)");
+    ( Hp_skip_validate,
+      "hp-skip-validate",
+      "skip the validate after publishing a hazard slot (use-after-free; HP scenarios only)" );
+    ( Hp_drop_retired,
+      "hp-drop-retired",
+      "drop every fifth hazard-pointer retire-list entry (leak; HP scenarios only)" );
+    ( Churn_skip_handoff,
+      "churn-skip-handoff",
+      "skip reclaimer deregistration at thread teardown (ring stall; churn scenarios only)" );
+    ( Churn_skip_death_flush,
+      "churn-skip-death-flush",
+      "drop the dying thread's freeable backlog at teardown (leak; churn scenarios only)" );
   ]
 
-let to_name = function
-  | Uaf_free_early -> "uaf-free-early"
-  | Uaf_short_grace -> "uaf-short-grace"
-  | Lost_callback -> "lost-callback"
-  | Hp_skip_validate -> "hp-skip-validate"
-  | Hp_drop_retired -> "hp-drop-retired"
-  | Churn_skip_handoff -> "churn-skip-handoff"
-  | Churn_skip_death_flush -> "churn-skip-death-flush"
+let names = List.map (fun (_, name, _) -> name) table
+let entry m = List.find (fun (m', _, _) -> m' = m) table
+let to_name m = match entry m with _, name, _ -> name
+let describe m = match entry m with _, _, doc -> doc
 
-let of_name = function
-  | "uaf-free-early" -> Some Uaf_free_early
-  | "uaf-short-grace" -> Some Uaf_short_grace
-  | "lost-callback" -> Some Lost_callback
-  | "hp-skip-validate" -> Some Hp_skip_validate
-  | "hp-drop-retired" -> Some Hp_drop_retired
-  | "churn-skip-handoff" -> Some Churn_skip_handoff
-  | "churn-skip-death-flush" -> Some Churn_skip_death_flush
-  | _ -> None
-
-let describe = function
-  | Uaf_free_early -> "free retired objects immediately (no grace period)"
-  | Uaf_short_grace -> "free retired objects after one further operation (too-short grace)"
-  | Lost_callback -> "drop release callbacks (leak)"
-  | Hp_skip_validate ->
-      "skip the validate after publishing a hazard slot (use-after-free; HP scenarios only)"
-  | Hp_drop_retired ->
-      "drop every fifth hazard-pointer retire-list entry (leak; HP scenarios only)"
-  | Churn_skip_handoff ->
-      "skip reclaimer deregistration at thread teardown (ring stall; churn scenarios only)"
-  | Churn_skip_death_flush ->
-      "drop the dying thread's freeable backlog at teardown (leak; churn scenarios only)"
+let of_name name =
+  List.find_map (fun (m, name', _) -> if name' = name then Some m else None) table

@@ -3,6 +3,14 @@
    or the real multicore protocols in lib/parallel, driven as coroutines
    on one domain so every interleaving is schedule-controlled.
 
+   Two harnesses run them. [run_sim] drives a concurrent set over the
+   simulator under any registered reclaimer. [run_par] drives one
+   slab/Treiber-stack workload over every real reclaimer (EBR, the
+   Token-EBR ring, hazard pointers); a [proto] record carries how each one
+   protects the block a reader found at the stack head, so the workload,
+   the retire mutants, the quiet-phase drain and the conservation and
+   liveness epilogue exist once.
+
    A scenario owns its entire wiring; [run] executes one schedule under a
    strategy recorder and an optional seeded mutant, evaluates every oracle
    and returns the outcome. The same (scenario, seed, decision list) is
@@ -21,6 +29,44 @@ type t = {
     mutant:Mutant.t option ->
     Oracle.outcome;
 }
+
+(* One scheduler per run, every checkpoint decided by the strategy's
+   controller; [tracer] (usually disabled) records without perturbing. *)
+let new_sched ~n ~seed ~tracer (recorder : Strategy.recorder) =
+  let sched = Sched.create ~topology:Topology.intel_192t ~n_threads:n ~seed () in
+  Sched.set_controller sched (Some recorder.Strategy.controller);
+  Sched.set_tracer sched tracer;
+  sched
+
+(* Close the liveness monitor at the latest thread clock and return its
+   verdicts; the stall the adversary injected widens the stall budget. *)
+let liveness_verdicts liv sched (recorder : Strategy.recorder) ?stall_budget ?pending_cap
+    ~final_pending ~drain_slack () =
+  let end_time =
+    Array.fold_left (fun m (th : Sched.thread) -> max m th.Sched.clock) 0 (Sched.threads sched)
+  in
+  Liveness.finish liv ~end_time;
+  Liveness.report liv ?stall_budget ?pending_cap
+    ~injected_ns:(recorder.Strategy.injected_ns ())
+    ~final_pending ~drain_slack ()
+
+(* [violations] arrive newest first; [interleaving] is the observed
+   thread order, a schedule-digest ingredient. *)
+let outcome ~name ~seed ~(recorder : Strategy.recorder) sched ~ops ~interleaving violations =
+  let final_clocks =
+    Array.to_list (Array.map (fun (th : Sched.thread) -> th.Sched.clock) (Sched.threads sched))
+  in
+  {
+    Oracle.scenario = name;
+    seed;
+    steps = recorder.Strategy.steps ();
+    injected_ns = recorder.Strategy.injected_ns ();
+    ops;
+    schedule_digest =
+      Oracle.schedule_digest ~decisions:(recorder.Strategy.decisions ()) ~interleaving
+        ~final_clocks;
+    violations = List.rev violations;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Simulated scenarios: a concurrent set over the DES simulator.      *)
@@ -81,10 +127,9 @@ let mutated_retire ~(smr : Smr.Smr_intf.t) ~safety ~policy ~held = function
         stash := Some h;
         incr held
   | Some Mutant.Lost_callback -> fun _ _ -> ()
-  (* The HP mutants perturb the protect/validate path of the dedicated
-     hazard-pointer runner, and the churn mutants perturb the teardown
-     chain; on the retire path both families leave the protocol genuine
-     (the selftest matrix pins them to their scenarios). *)
+  (* The HP mutants live in [make_hp] (par/hp/* only), and the churn
+     mutants perturb the teardown chain; on the retire path both families
+     leave the protocol genuine. *)
   | Some
       ( Mutant.Hp_skip_validate | Mutant.Hp_drop_retired | Mutant.Churn_skip_handoff
       | Mutant.Churn_skip_death_flush ) ->
@@ -96,9 +141,7 @@ let run_sim ~name ~ds_name ~smr_name ~params ~tracer ~seed ~(recorder : Strategy
   let n = p.n_threads in
   let violations = ref [] in
   let add v = violations := v :: !violations in
-  let sched = Sched.create ~topology:Topology.intel_192t ~n_threads:n ~seed () in
-  Sched.set_controller sched (Some recorder.Strategy.controller);
-  Sched.set_tracer sched tracer;
+  let sched = new_sched ~n ~seed ~tracer recorder in
   (* The leak allocator never recycles handles, so every free is visible
      to the grace-period validator exactly once. *)
   let alloc = Alloc.Registry.make "leak" sched in
@@ -303,32 +346,15 @@ let run_sim ~name ~ds_name ~smr_name ~params ~tracer ~seed ~(recorder : Strategy
                (ds.Ds.Ds_intf.node_count ())
                (smr.Smr.Smr_intf.total_garbage ());
          };
-     let end_time =
-       Array.fold_left (fun m (th : Sched.thread) -> max m th.Sched.clock) 0 (Sched.threads sched)
-     in
-     Liveness.finish liv ~end_time;
      List.iter add
-       (Liveness.report liv ?stall_budget:p.stall_budget ?pending_cap:p.pending_cap
-          ~injected_ns:(recorder.Strategy.injected_ns ())
+       (liveness_verdicts liv sched recorder ?stall_budget:p.stall_budget
+          ?pending_cap:p.pending_cap
           ~final_pending:(Smr.Free_policy.total_pending policy)
           ~drain_slack:p.drain_slack ())
    with e ->
      add { Oracle.oracle = Oracle.crash; detail = Printexc.to_string e });
-  let final_clocks =
-    Array.to_list (Array.map (fun (th : Sched.thread) -> th.Sched.clock) (Sched.threads sched))
-  in
-  {
-    Oracle.scenario = name;
-    seed;
-    steps = recorder.Strategy.steps ();
-    injected_ns = recorder.Strategy.injected_ns ();
-    ops = !ops_done;
-    schedule_digest =
-      Oracle.schedule_digest
-        ~decisions:(recorder.Strategy.decisions ())
-        ~interleaving:(Lin.interleaving lin) ~final_clocks;
-    violations = List.rev !violations;
-  }
+  outcome ~name ~seed ~recorder sched ~ops:!ops_done ~interleaving:(Lin.interleaving lin)
+    !violations
 
 (* ------------------------------------------------------------------ *)
 (* Parallel scenarios: the real lib/parallel protocols (Atomics code), *)
@@ -354,34 +380,48 @@ let default_par =
     par_drain_slack = 8;
   }
 
-(* A protocol-neutral view of Ebr / Token_ring, so one workload checks
-   both real reclaimers. *)
+(* A protocol-neutral view of Ebr, Token_ring and Hp, so one workload
+   checks every real reclaimer. The protocols differ only in how a reader
+   protects the block it found at the stack head:
+
+   - [acquire th ~slot] returns the head's (block, push-time sequence),
+     protected until [release i ~slot]. For the epoch schemes the open
+     operation is itself the protection, so it is a bare peek.
+   - [protected b] is the release-time pointer-protection oracle: whether
+     a published protection still names block [b].
+   - [quiet i] runs in every quiet-phase operation.
+   - [progress ()] counts reclamation progress (epochs, token receipts,
+     HP scans) for the liveness monitor. *)
 type proto = {
   enter : int -> unit;
   exit_ : int -> unit;
-  retire : int -> (unit -> unit) -> unit;
+  acquire : Sched.thread -> slot:int -> (int * int) option;
+  release : int -> slot:int -> unit;
+  retire : int -> value:int -> (unit -> unit) -> unit;
+  protected : int -> bool;
+  quiet : int -> unit;
   pending : int -> int;
-  note_advance : int -> unit;  (* poll for epoch/token progress, per thread *)
+  progress : unit -> int;
   flush : unit -> unit;  (* end of run: release everything retired *)
   totals : unit -> int * int;  (* retired, released *)
 }
 
-let make_ebr ~mode ~n (liv : Liveness.t) (get_time : int -> int) =
+(* The epoch schemes have no protocol-specific mutants, nothing to
+   publish or clear, and nothing to do when quiet: epochs and the token
+   keep moving on enter/exit alone. *)
+let make_ebr ~mode ~n ~stack ~mutant:_ =
   let ebr = Parallel.Ebr.create ~mode ~check_every:1 ~max_domains:n () in
   let handles = Array.init n (fun _ -> Parallel.Ebr.register ebr) in
-  let last_epoch = ref 0 in
   {
     enter = (fun i -> Parallel.Ebr.enter handles.(i));
     exit_ = (fun i -> Parallel.Ebr.exit handles.(i));
-    retire = (fun i cb -> Parallel.Ebr.retire handles.(i) cb);
+    acquire = (fun _ ~slot:_ -> Parallel.Treiber_stack.peek stack);
+    release = (fun _ ~slot:_ -> ());
+    retire = (fun i ~value:_ cb -> Parallel.Ebr.retire handles.(i) cb);
+    protected = (fun _ -> false);
+    quiet = ignore;
     pending = (fun i -> Parallel.Ebr.pending handles.(i));
-    note_advance =
-      (fun i ->
-        let e = Parallel.Ebr.current_epoch ebr in
-        if e > !last_epoch then begin
-          last_epoch := e;
-          Liveness.note_advance liv ~time:(get_time i)
-        end);
+    progress = (fun () -> Parallel.Ebr.current_epoch ebr);
     flush = (fun () -> Array.iter Parallel.Ebr.flush_unsafe handles);
     totals =
       (fun () ->
@@ -390,24 +430,20 @@ let make_ebr ~mode ~n (liv : Liveness.t) (get_time : int -> int) =
           (0, 0) handles);
   }
 
-let make_token ~mode ~n (liv : Liveness.t) (get_time : int -> int) =
+let make_token ~mode ~n ~stack ~mutant:_ =
   let ring = Parallel.Token_ring.create ~mode ~max_domains:n () in
   let handles = Array.init n (fun _ -> Parallel.Token_ring.register ring) in
-  let last_receipts = ref 0 in
   {
     enter = (fun i -> Parallel.Token_ring.enter handles.(i));
     exit_ = (fun i -> Parallel.Token_ring.exit handles.(i));
-    retire = (fun i cb -> Parallel.Token_ring.retire handles.(i) cb);
+    acquire = (fun _ ~slot:_ -> Parallel.Treiber_stack.peek stack);
+    release = (fun _ ~slot:_ -> ());
+    retire = (fun i ~value:_ cb -> Parallel.Token_ring.retire handles.(i) cb);
+    protected = (fun _ -> false);
+    quiet = ignore;
     pending = (fun i -> Parallel.Token_ring.pending handles.(i));
-    note_advance =
-      (fun i ->
-        let r =
-          Array.fold_left (fun a h -> a + Parallel.Token_ring.receipts h) 0 handles
-        in
-        if r > !last_receipts then begin
-          last_receipts := r;
-          Liveness.note_advance liv ~time:(get_time i)
-        end);
+    progress =
+      (fun () -> Array.fold_left (fun a h -> a + Parallel.Token_ring.receipts h) 0 handles);
     flush = (fun () -> Array.iter Parallel.Token_ring.flush_unsafe handles);
     totals =
       (fun () ->
@@ -416,37 +452,145 @@ let make_token ~mode ~n (liv : Liveness.t) (get_time : int -> int) =
           (0, 0) handles);
   }
 
+(* Hazard pointers, with the protect/validate loop driven explicitly so
+   the adversary can park a reader between the read, the publish and the
+   validate — the races hazard pointers exist to survive. [acquire] peeks
+   the head, checkpoints (the block may die right there), publishes it in
+   [slot], then re-validates the head: same block, same push-time
+   sequence, so an ABA re-push fails. A failed validation clears the slot
+   before its retry, so the release-time oracle never sees a stale,
+   harmless slot; after 32 retries the reader gives up.
+
+   Nothing advances HP reclamation once retires stop, so [quiet] runs the
+   protocol's thread-exit scan to drive leftover retire-list entries out.
+
+   Mutants: [Hp_skip_validate] returns straight after the publish (the
+   classic misuse; the probe catches the schedule where the block died
+   between read and publish); [Hp_drop_retired] silently drops every
+   fifth retire-list entry (no scan can repair it; conservation counts
+   the missing blocks after the final flush). *)
+let make_hp ~mode ~n ~stack ~mutant =
+  let hp = Parallel.Hp.create ~mode ~scan_threshold:8 ~slots_per_domain:2 ~max_domains:n () in
+  let handles = Array.init n (fun _ -> Parallel.Hp.register hp) in
+  let rec acquire (th : Sched.thread) ~slot tries =
+    let h = handles.(th.Sched.tid) in
+    match Parallel.Treiber_stack.peek stack with
+    | None -> None
+    | Some (b, seq) -> (
+        Sched.checkpoint th;
+        Parallel.Hp.protect h ~slot b;
+        if mutant = Some Mutant.Hp_skip_validate then Some (b, seq)
+        else
+          match Parallel.Treiber_stack.peek stack with
+          | Some (b', seq') when b' = b && seq' = seq -> Some (b, seq)
+          | _ ->
+              Parallel.Hp.clear h ~slot;
+              Parallel.Hp.note_retry h;
+              if tries < 32 then acquire th ~slot (tries + 1) else None)
+  in
+  let retire i ~value cb = Parallel.Hp.retire handles.(i) ~value cb in
+  let retire =
+    if mutant <> Some Mutant.Hp_drop_retired then retire
+    else
+      let k = ref 0 in
+      fun i ~value cb ->
+        incr k;
+        if !k mod 5 <> 0 then retire i ~value cb
+  in
+  {
+    enter = (fun i -> Parallel.Hp.enter handles.(i));
+    exit_ = (fun i -> Parallel.Hp.exit handles.(i));
+    acquire = (fun th ~slot -> acquire th ~slot 0);
+    release = (fun i ~slot -> Parallel.Hp.clear handles.(i) ~slot);
+    retire;
+    protected = Parallel.Hp.is_protected hp;
+    quiet = (fun i -> Parallel.Hp.scan_now handles.(i));
+    pending = (fun i -> Parallel.Hp.pending handles.(i));
+    progress = (fun () -> Array.fold_left (fun a h -> a + Parallel.Hp.scans h) 0 handles);
+    flush = (fun () -> Array.iter Parallel.Hp.flush_unsafe handles);
+    totals =
+      (fun () ->
+        Array.fold_left
+          (fun (r, f) h -> (r + Parallel.Hp.retired h, f + Parallel.Hp.released h))
+          (0, 0) handles);
+  }
+
+(* Producers publish slab blocks through a Treiber stack; consumers
+   acquire the head, probe it, pop it, release and retire it; stalled
+   readers acquire the head and yield while holding the protection. Two
+   safety oracles watch: the probe on every protected dereference (a
+   recycled block is a use-after-free made observable) and the
+   pointer-protection check inside every release callback. *)
 let run_par ~name ~make_proto ~params ~tracer ~seed ~(recorder : Strategy.recorder) ~mutant =
   let p = params in
   let n = p.par_threads in
   let violations = ref [] in
   let add v = violations := v :: !violations in
-  let sched = Sched.create ~topology:Topology.intel_192t ~n_threads:n ~seed () in
-  Sched.set_controller sched (Some recorder.Strategy.controller);
-  Sched.set_tracer sched tracer;
+  let sched = new_sched ~n ~seed ~tracer recorder in
   let slab = Parallel.Slab.create ~blocks:p.blocks ~block_words:2 in
   let stack = Parallel.Treiber_stack.create () in
   let liv = Liveness.create () in
-  let get_time i = (Sched.thread sched i).Sched.clock in
-  let proto = make_proto ~n liv get_time in
-  (* Mutant wrapping of the retire path: run the callback too early, one
+  let proto = make_proto ~n ~stack ~mutant in
+  let last_progress = ref 0 in
+  let note_progress i =
+    let c = proto.progress () in
+    if c > !last_progress then begin
+      last_progress := c;
+      Liveness.note_advance liv ~time:(Sched.thread sched i).Sched.clock
+    end
+  in
+  let release b () =
+    if proto.protected b then
+      add
+        {
+          Oracle.oracle = Oracle.smr_safety;
+          detail =
+            Printf.sprintf "block %d released while a published hazard slot still holds it" b;
+        };
+    Parallel.Slab.free slab b
+  in
+  (* Mutant wrapping of the retire path: run the release too early, one
      retirement late, or never. The stash is drained at the end so only
-     the genuinely-lost callbacks show up as a conservation deficit. *)
+     the genuinely lost releases show up as a conservation deficit. *)
   let stash = ref None in
-  let retire =
+  let retire i b =
+    let cb = release b in
     match mutant with
-    | None -> proto.retire
-    | Some Mutant.Uaf_free_early -> fun _ cb -> cb ()
+    | Some Mutant.Uaf_free_early -> cb ()
     | Some Mutant.Uaf_short_grace ->
-        fun _ cb ->
-          (match !stash with Some f -> f () | None -> ());
-          stash := Some cb
-    | Some Mutant.Lost_callback -> fun _ _ -> ()
+        Option.iter (fun f -> f ()) !stash;
+        stash := Some cb
+    | Some Mutant.Lost_callback -> ()
+    | None
     | Some
         ( Mutant.Hp_skip_validate | Mutant.Hp_drop_retired | Mutant.Churn_skip_handoff
         | Mutant.Churn_skip_death_flush ) ->
-        (* HP- and churn-specific mutants: genuine protocol here. *)
-        proto.retire
+        proto.retire i ~value:b cb
+  in
+  (* A protected block must still carry the sequence it was pushed with,
+     and its payload. *)
+  let probe i b seq ~where =
+    let found = Parallel.Slab.sequence slab b in
+    if found <> seq then
+      add
+        {
+          Oracle.oracle = Oracle.smr_safety;
+          detail =
+            Printf.sprintf
+              "thread %d (%s) read block %d with sequence %d, found %d — block recycled under \
+               a protected reader"
+              i where b seq found;
+        }
+    else if Parallel.Slab.read slab b ~word:0 <> (b * 7) + 1 then
+      add
+        {
+          Oracle.oracle = Oracle.smr_safety;
+          detail = Printf.sprintf "thread %d (%s) read torn payload in block %d" i where b;
+        }
+  in
+  let total_pending () =
+    let rec sum i acc = if i < 0 then acc else sum (i - 1) (acc + proto.pending i) in
+    sum (n - 1) 0
   in
   let interleaving = Buffer.create 256 in
   let ops_done = ref 0 in
@@ -454,23 +598,13 @@ let run_par ~name ~make_proto ~params ~tracer ~seed ~(recorder : Strategy.record
      (* See the sim runner: every thread keeps cycling until all threads
         have finished producing and drained, because a stopped participant
         pins the epoch / halts the token ring and would strand the other
-        threads' backlogs — a workload artifact, not a protocol bug. *)
+        threads' backlogs — a workload artifact, not a protocol bug. As
+        there, the quota extends (bounded) while releases are pending. *)
      let quiet = Array.make n 0 in
-     (* As in the sim runner, the quota extends (bounded) while callbacks
-        are still pending, so a stall-concentrated backlog gets the ops it
-        needs to drain and only a genuinely stuck backlog is flagged. *)
-     let total_pending () =
-       let s = ref 0 in
-       for i = 0 to n - 1 do
-         s := !s + proto.pending i
-       done;
-       !s
-     in
      let drain_cap = 8 * p.par_quiet in
      let draining () =
        Array.exists (fun q -> q < p.par_quiet) quiet
-       || (total_pending () > p.par_drain_slack
-          && Array.exists (fun q -> q < drain_cap) quiet)
+       || (total_pending () > p.par_drain_slack && Array.exists (fun q -> q < drain_cap) quiet)
      in
      let mains_done = ref 0 in
      let body (th : Sched.thread) =
@@ -489,55 +623,29 @@ let run_par ~name ~make_proto ~params ~tracer ~seed ~(recorder : Strategy.record
                  Parallel.Treiber_stack.push stack ~value:b ~seq:(Parallel.Slab.sequence slab b)
              | None -> ())
          | 1 -> (
-             (* Consumer: pop, validate, retire. The block's sequence and
-                payload must be exactly as published — a recycled block
-                is a use-after-free made observable. *)
-             match Parallel.Treiber_stack.pop stack with
+             (* Consumer. Acquire and pop run back to back (no checkpoint),
+                so the pop takes exactly the acquired block unless a
+                mutant skipped the validation. *)
+             match proto.acquire th ~slot:0 with
              | Some (b, seq) ->
-                 if Parallel.Slab.sequence slab b <> seq then
-                   add
-                     {
-                       Oracle.oracle = Oracle.smr_safety;
-                       detail =
-                         Printf.sprintf
-                           "thread %d popped block %d with sequence %d, found %d — block \
-                            recycled without a grace period"
-                           i b seq
-                           (Parallel.Slab.sequence slab b);
-                     }
-                 else if Parallel.Slab.read slab b ~word:0 <> (b * 7) + 1 then
-                   add
-                     {
-                       Oracle.oracle = Oracle.smr_safety;
-                       detail =
-                         Printf.sprintf "thread %d read torn payload in block %d" i b;
-                     };
-                 retire i (fun () -> Parallel.Slab.free slab b)
+                 probe i b seq ~where:"consumer";
+                 let popped = Parallel.Treiber_stack.pop stack in
+                 proto.release i ~slot:0;
+                 Option.iter (fun (b, _) -> retire i b) popped
              | None -> ())
          | _ -> (
-             (* Stalled reader: peek a node, then yield inside the
-                protected section. The adversary may park this thread
-                for a long virtual time; the reclaimer must still not
-                recycle the observed block, because this operation began
-                before any retirement that could free it. *)
-             match Parallel.Treiber_stack.peek stack with
+             (* Stalled reader: the adversary may park this thread inside
+                the protected section for a long virtual time; the
+                reclaimer must still not recycle the acquired block. *)
+             match proto.acquire th ~slot:1 with
              | Some (b, seq) ->
                  Sched.work th Metrics.Ds 40;
                  Sched.checkpoint th;
-                 if Parallel.Slab.sequence slab b <> seq then
-                   add
-                     {
-                       Oracle.oracle = Oracle.smr_safety;
-                       detail =
-                         Printf.sprintf
-                           "block %d recycled under a protected reader on thread %d (sequence \
-                            %d -> %d)"
-                           b i seq
-                           (Parallel.Slab.sequence slab b);
-                     }
+                 probe i b seq ~where:"stalled reader";
+                 proto.release i ~slot:1
              | None -> ()));
          proto.exit_ i;
-         proto.note_advance i;
+         note_progress i;
          incr ops_done;
          Liveness.sample_pending liv (proto.pending i);
          Sched.checkpoint th
@@ -546,13 +654,14 @@ let run_par ~name ~make_proto ~params ~tracer ~seed ~(recorder : Strategy.record
           sim runner for why this cannot mask a drain bug. *)
        incr mains_done;
        if !mains_done = n then Sched.set_controller sched None;
-       (* Quiet phase: keep entering (epochs advance, amortized draining
-          continues) but retire nothing, so the backlog must drain. *)
+       (* Quiet phase: keep entering but retire nothing, so the backlog
+          must drain. *)
        while draining () do
          proto.enter i;
          Sched.work th Metrics.Ds 60;
+         proto.quiet i;
          proto.exit_ i;
-         proto.note_advance i;
+         note_progress i;
          quiet.(i) <- quiet.(i) + 1;
          Sched.wait th Metrics.Idle 20_000;
          Sched.checkpoint th
@@ -561,15 +670,8 @@ let run_par ~name ~make_proto ~params ~tracer ~seed ~(recorder : Strategy.record
      Array.iter (fun th -> Sched.spawn sched th body) (Sched.threads sched);
      Sched.run sched;
      (* --- Epilogue: all workers done, so flushing is safe. --- *)
-     (match !stash with
-     | Some f ->
-         f ();
-         stash := None
-     | None -> ());
-     let pending_before_flush =
-       let rec sum i acc = if i < 0 then acc else sum (i - 1) (acc + proto.pending i) in
-       sum (n - 1) 0
-     in
+     Option.iter (fun f -> f ()) !stash;
+     let pending_before_flush = total_pending () in
      proto.flush ();
      let rec drain () =
        match Parallel.Treiber_stack.pop stack with
@@ -599,291 +701,12 @@ let run_par ~name ~make_proto ~params ~tracer ~seed ~(recorder : Strategy.record
              Printf.sprintf "%d retirements but %d releases after the final flush" retired
                released;
          };
-     let end_time =
-       Array.fold_left (fun m (th : Sched.thread) -> max m th.Sched.clock) 0 (Sched.threads sched)
-     in
-     Liveness.finish liv ~end_time;
      List.iter add
-       (Liveness.report liv ?pending_cap:p.par_pending_cap
-          ~injected_ns:(recorder.Strategy.injected_ns ())
+       (liveness_verdicts liv sched recorder ?pending_cap:p.par_pending_cap
           ~final_pending:pending_before_flush ~drain_slack:p.par_drain_slack ())
    with e -> add { Oracle.oracle = Oracle.crash; detail = Printexc.to_string e });
-  let final_clocks =
-    Array.to_list (Array.map (fun (th : Sched.thread) -> th.Sched.clock) (Sched.threads sched))
-  in
-  {
-    Oracle.scenario = name;
-    seed;
-    steps = recorder.Strategy.steps ();
-    injected_ns = recorder.Strategy.injected_ns ();
-    ops = !ops_done;
-    schedule_digest =
-      Oracle.schedule_digest
-        ~decisions:(recorder.Strategy.decisions ())
-        ~interleaving:(Buffer.contents interleaving) ~final_clocks;
-    violations = List.rev !violations;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Hazard-pointer scenario: the real Parallel.Hp protocol, with its    *)
-(* protect/validate loop driven explicitly so the adversary can park a *)
-(* thread between the read, the publish and the validate — the races   *)
-(* hazard pointers exist to survive.                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The workload mirrors [run_par]'s producer/consumer/stalled-reader over
-   Slab + Treiber_stack, but consumers and readers follow the full HP
-   discipline: peek the head, (checkpoint: the value may die here),
-   publish it in a hazard slot, re-validate the head — same block, same
-   push-time sequence, so an ABA re-push fails the validate — and only
-   then dereference. Two oracles are HP-specific: the slab sequence probe
-   on every protected dereference (a recycled block is a use-after-free
-   made observable), and a pointer-protection check inside every release
-   callback — an object may be freed only when no published hazard slot
-   holds it.
-
-   Mutants: [Hp_skip_validate] returns straight after the publish (the
-   classic misuse; the sequence probe catches the schedule where the block
-   died between read and publish); [Hp_drop_retired] silently drops every
-   fifth retire-list entry (the scan can never repair it; conservation
-   counts the missing blocks after the final flush). The three generic
-   mutants perturb the retire path exactly as in [run_par]. *)
-let run_par_hp ~name ~mode ~params ~tracer ~seed ~(recorder : Strategy.recorder) ~mutant =
-  let p = params in
-  let n = p.par_threads in
-  let violations = ref [] in
-  let add v = violations := v :: !violations in
-  let sched = Sched.create ~topology:Topology.intel_192t ~n_threads:n ~seed () in
-  Sched.set_controller sched (Some recorder.Strategy.controller);
-  Sched.set_tracer sched tracer;
-  let slab = Parallel.Slab.create ~blocks:p.blocks ~block_words:2 in
-  let stack = Parallel.Treiber_stack.create () in
-  let liv = Liveness.create () in
-  let hp = Parallel.Hp.create ~mode ~scan_threshold:8 ~slots_per_domain:2 ~max_domains:n () in
-  let handles = Array.init n (fun _ -> Parallel.Hp.register hp) in
-  let skip_validate = mutant = Some Mutant.Hp_skip_validate in
-  let drop_counter = ref 0 in
-  let stash = ref None in
-  (* Release through the pointer-protection oracle. *)
-  let release_block b () =
-    if Parallel.Hp.is_protected hp b then
-      add
-        {
-          Oracle.oracle = Oracle.smr_safety;
-          detail =
-            Printf.sprintf
-              "block %d released while a published hazard slot still holds it" b;
-        };
-    Parallel.Slab.free slab b
-  in
-  let retire i b =
-    match mutant with
-    | Some Mutant.Uaf_free_early -> release_block b ()
-    | Some Mutant.Uaf_short_grace ->
-        (match !stash with Some f -> f () | None -> ());
-        stash := Some (release_block b)
-    | Some Mutant.Lost_callback -> ()
-    | Some Mutant.Hp_drop_retired ->
-        incr drop_counter;
-        if !drop_counter mod 5 = 0 then ()
-        else Parallel.Hp.retire handles.(i) ~value:b (release_block b)
-    | None
-    | Some
-        ( Mutant.Hp_skip_validate | Mutant.Churn_skip_handoff | Mutant.Churn_skip_death_flush
-          ) ->
-        Parallel.Hp.retire handles.(i) ~value:b (release_block b)
-  in
-  (* Scans are this protocol's reclamation progress (there is no epoch). *)
-  let last_scans = ref 0 in
-  let note_advance i =
-    let s = Array.fold_left (fun a h -> a + Parallel.Hp.scans h) 0 handles in
-    if s > !last_scans then begin
-      last_scans := s;
-      Liveness.note_advance liv ~time:(Sched.thread sched i).Sched.clock
-    end
-  in
-  let total_pending () = Array.fold_left (fun a h -> a + Parallel.Hp.pending h) 0 handles in
-  let interleaving = Buffer.create 256 in
-  let ops_done = ref 0 in
-  (try
-     let quiet = Array.make n 0 in
-     let drain_cap = 8 * p.par_quiet in
-     let draining () =
-       Array.exists (fun q -> q < p.par_quiet) quiet
-       || (total_pending () > p.par_drain_slack && Array.exists (fun q -> q < drain_cap) quiet)
-     in
-     let mains_done = ref 0 in
-     (* Protect the current stack head in [slot]: peek, park-able window,
-        publish, validate (unless mutated). [None] when the stack is empty
-        or the head would not stabilize within the retry bound. *)
-     let rec acquire (th : Sched.thread) h ~slot tries =
-       match Parallel.Treiber_stack.peek stack with
-       | None -> None
-       | Some (b, seq) ->
-           (* The value is read but not yet published: the adversary may
-              run the whole world here — pop, retire, scan, recycle. *)
-           Sched.checkpoint th;
-           Parallel.Hp.protect h ~slot b;
-           if skip_validate then Some (b, seq)
-           else (
-             match Parallel.Treiber_stack.peek stack with
-             | Some (b', seq') when b' = b && seq' = seq -> Some (b, seq)
-             | _ ->
-                 (* Clear before the retry's checkpoint: a value that failed
-                    validation must not stay published, or the release-time
-                    protection oracle would see the stale, harmless slot. *)
-                 Parallel.Hp.clear h ~slot;
-                 Parallel.Hp.note_retry h;
-                 if tries < 32 then acquire th h ~slot (tries + 1) else None)
-     in
-     let probe_protected i b seq ~where =
-       if Parallel.Slab.sequence slab b <> seq then
-         add
-           {
-             Oracle.oracle = Oracle.smr_safety;
-             detail =
-               Printf.sprintf
-                 "thread %d dereferenced block %d under a hazard slot (%s) with sequence %d, \
-                  found %d — block recycled despite the protection protocol"
-                 i b where seq
-                 (Parallel.Slab.sequence slab b);
-           }
-       else if Parallel.Slab.read slab b ~word:0 <> (b * 7) + 1 then
-         add
-           {
-             Oracle.oracle = Oracle.smr_safety;
-             detail = Printf.sprintf "thread %d read torn payload in block %d (%s)" i b where;
-           }
-     in
-     let body (th : Sched.thread) =
-       let i = th.Sched.tid in
-       let h = handles.(i) in
-       for _ = 1 to p.par_ops do
-         Parallel.Hp.enter h;
-         Sched.work th Metrics.Ds 120;
-         Buffer.add_string interleaving (string_of_int i);
-         Buffer.add_char interleaving ';';
-         (match Rng.int_below th.Sched.rng 3 with
-         | 0 -> (
-             (* Producer: publish a block through the stack. *)
-             match Parallel.Slab.alloc slab with
-             | Some b ->
-                 Parallel.Slab.write slab b ~word:0 ((b * 7) + 1);
-                 Parallel.Treiber_stack.push stack ~value:b ~seq:(Parallel.Slab.sequence slab b)
-             | None -> ())
-         | 1 -> (
-             (* Consumer: protect the head, dereference it, pop it, retire
-                it. Validate and pop run back-to-back (no checkpoint), so
-                a successful acquire pops exactly the protected block. *)
-             match acquire th h ~slot:0 0 with
-             | Some (b, seq) ->
-                 probe_protected i b seq ~where:"consumer";
-                 (match Parallel.Treiber_stack.pop stack with
-                 | Some (bp, _) ->
-                     Parallel.Hp.clear h ~slot:0;
-                     retire i bp
-                 | None -> Parallel.Hp.clear h ~slot:0)
-             | None -> ())
-         | _ -> (
-             (* Stalled reader: protect the head, then yield while holding
-                the protection. However long the adversary parks this
-                thread, scans must keep the published block alive. *)
-             match acquire th h ~slot:1 0 with
-             | Some (b, seq) ->
-                 Sched.work th Metrics.Ds 40;
-                 Sched.checkpoint th;
-                 probe_protected i b seq ~where:"stalled reader";
-                 Parallel.Hp.clear h ~slot:1
-             | None -> ()));
-         Parallel.Hp.exit h;
-         note_advance i;
-         incr ops_done;
-         Liveness.sample_pending liv (Parallel.Hp.pending h);
-         Sched.checkpoint th
-       done;
-       incr mains_done;
-       if !mains_done = n then Sched.set_controller sched None;
-       (* Quiet phase: no retirements, so the backlog must drain. Unlike
-          the epoch protocols, nothing advances HP's reclamation once
-          retires stop — the quiet-phase scan (the protocol's thread-exit
-          scan) drives the leftover retire-list entries out. *)
-       while draining () do
-         Parallel.Hp.enter h;
-         Sched.work th Metrics.Ds 60;
-         Parallel.Hp.scan_now h;
-         Parallel.Hp.exit h;
-         note_advance i;
-         quiet.(i) <- quiet.(i) + 1;
-         Sched.wait th Metrics.Idle 20_000;
-         Sched.checkpoint th
-       done
-     in
-     Array.iter (fun th -> Sched.spawn sched th body) (Sched.threads sched);
-     Sched.run sched;
-     (* --- Epilogue: all workers done, so flushing is safe. --- *)
-     (match !stash with
-     | Some f ->
-         f ();
-         stash := None
-     | None -> ());
-     let pending_before_flush = total_pending () in
-     Array.iter Parallel.Hp.flush_unsafe handles;
-     let rec drain_stack () =
-       match Parallel.Treiber_stack.pop stack with
-       | Some (b, _) ->
-           Parallel.Slab.free slab b;
-           drain_stack ()
-       | None -> ()
-     in
-     drain_stack ();
-     if Parallel.Slab.free_blocks slab <> p.blocks then
-       add
-         {
-           Oracle.oracle = Oracle.conservation;
-           detail =
-             Printf.sprintf
-               "%d of %d slab blocks unaccounted for after flushing and draining — retire-list \
-                entries were lost"
-               (p.blocks - Parallel.Slab.free_blocks slab)
-               p.blocks;
-         };
-     let retired, released =
-       Array.fold_left
-         (fun (r, f) h -> (r + Parallel.Hp.retired h, f + Parallel.Hp.released h))
-         (0, 0) handles
-     in
-     if retired <> released then
-       add
-         {
-           Oracle.oracle = Oracle.conservation;
-           detail =
-             Printf.sprintf "%d retirements but %d releases after the final flush" retired
-               released;
-         };
-     let end_time =
-       Array.fold_left (fun m (th : Sched.thread) -> max m th.Sched.clock) 0 (Sched.threads sched)
-     in
-     Liveness.finish liv ~end_time;
-     List.iter add
-       (Liveness.report liv ?pending_cap:p.par_pending_cap
-          ~injected_ns:(recorder.Strategy.injected_ns ())
-          ~final_pending:pending_before_flush ~drain_slack:p.par_drain_slack ())
-   with e -> add { Oracle.oracle = Oracle.crash; detail = Printexc.to_string e });
-  let final_clocks =
-    Array.to_list (Array.map (fun (th : Sched.thread) -> th.Sched.clock) (Sched.threads sched))
-  in
-  {
-    Oracle.scenario = name;
-    seed;
-    steps = recorder.Strategy.steps ();
-    injected_ns = recorder.Strategy.injected_ns ();
-    ops = !ops_done;
-    schedule_digest =
-      Oracle.schedule_digest
-        ~decisions:(recorder.Strategy.decisions ())
-        ~interleaving:(Buffer.contents interleaving) ~final_clocks;
-    violations = List.rev !violations;
-  }
+  outcome ~name ~seed ~recorder sched ~ops:!ops_done ~interleaving:(Buffer.contents interleaving)
+    !violations
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
@@ -905,15 +728,6 @@ let par ~name ~summary ~make_proto params =
     run =
       (fun ~tracer ~seed ~recorder ~mutant ->
         run_par ~name ~make_proto ~params ~tracer ~seed ~recorder ~mutant);
-  }
-
-let par_hp ~name ~summary ~mode params =
-  {
-    name;
-    summary;
-    run =
-      (fun ~tracer ~seed ~recorder ~mutant ->
-        run_par_hp ~name ~mode ~params ~tracer ~seed ~recorder ~mutant);
   }
 
 (* Base epoch-stall budgets (virtual ns) are calibrated against the
@@ -956,19 +770,14 @@ let all =
       ~ds_name:"abtree" ~smr_name:"token"
       { default_sim with stall_budget = Some 12_000_000 };
     par ~name:"par/ebr/batch" ~summary:"real EBR (Atomics), batch release"
-      ~make_proto:(fun ~n liv get_time -> make_ebr ~mode:Parallel.Ebr.Batch ~n liv get_time)
-      default_par;
+      ~make_proto:(make_ebr ~mode:Parallel.Ebr.Batch) default_par;
     par ~name:"par/ebr/af" ~summary:"real EBR (Atomics), amortized release"
-      ~make_proto:(fun ~n liv get_time ->
-        make_ebr ~mode:(Parallel.Ebr.Amortized 2) ~n liv get_time)
+      ~make_proto:(make_ebr ~mode:(Parallel.Ebr.Amortized 2))
       { default_par with par_pending_cap = Some 256 };
     par ~name:"par/token/batch" ~summary:"real Token-EBR ring (Atomics), batch release"
-      ~make_proto:(fun ~n liv get_time ->
-        make_token ~mode:Parallel.Token_ring.Batch ~n liv get_time)
-      default_par;
+      ~make_proto:(make_token ~mode:Parallel.Token_ring.Batch) default_par;
     par ~name:"par/token/af" ~summary:"real Token-EBR ring (Atomics), amortized release"
-      ~make_proto:(fun ~n liv get_time ->
-        make_token ~mode:(Parallel.Token_ring.Amortized 2) ~n liv get_time)
+      ~make_proto:(make_token ~mode:(Parallel.Token_ring.Amortized 2))
       { default_par with par_pending_cap = Some 256 };
     sim ~name:"sim/list/hazard" ~summary:"lazy list set, hazard pointers, batch free"
       ~ds_name:"list" ~smr_name:"hazard"
@@ -1044,12 +853,12 @@ let all =
         churn = [ (0, 30, 200_000); (1, 45, 200_000); (2, 60, 200_000); (3, 75, 200_000) ];
         stall_budget = Some 6_000_000;
       };
-    par_hp ~name:"par/hp/batch"
+    par ~name:"par/hp/batch"
       ~summary:"real hazard pointers (Atomics), protect/validate loop, batch release"
-      ~mode:Parallel.Hp.Batch default_par;
-    par_hp ~name:"par/hp/af"
+      ~make_proto:(make_hp ~mode:Parallel.Hp.Batch) default_par;
+    par ~name:"par/hp/af"
       ~summary:"real hazard pointers (Atomics), protect/validate loop, amortized release"
-      ~mode:(Parallel.Hp.Amortized 2)
+      ~make_proto:(make_hp ~mode:(Parallel.Hp.Amortized 2))
       { default_par with par_pending_cap = Some 256 };
   ]
 

@@ -30,14 +30,6 @@ type recorder = {
   injected_ns : unit -> int;  (* total stall injected so far *)
 }
 
-let label = function
-  | Random_walk { p; max_delay } -> Printf.sprintf "random-walk(p=%.2f,max=%d)" p max_delay
-  | Preempt_bound { budget; p; delay } ->
-      Printf.sprintf "preempt-bound(b=%d,p=%.2f,delay=%d)" budget p delay
-  | Delay_inject { victims; period; delay } ->
-      Printf.sprintf "delay-inject(v=%d,period=%d,delay=%d)" victims period delay
-  | Replay ds -> Printf.sprintf "replay(%d decisions)" (List.length ds)
-
 (* The named strategies of the CLI and the CI smoke job. *)
 let defaults =
   [

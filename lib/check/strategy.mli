@@ -22,8 +22,6 @@ type recorder = {
   injected_ns : unit -> int;  (** total stall injected so far *)
 }
 
-val label : spec -> string
-
 val defaults : (string * spec) list
 (** The named strategies of the CLI and the CI smoke job. *)
 

@@ -13,7 +13,7 @@ type t = {
   scenario : string;
   strategy : string;  (* strategy label the failure was found under *)
   seed : int;  (* workload seed: fixes threads' op sequences *)
-  mutant : string option;  (* seeded bug, if this is a self-test trace *)
+  mutant : Mutant.t option;  (* seeded bug, if this is a self-test trace *)
   decisions : decision list;  (* injected stalls, by global checkpoint index *)
   failure : string;  (* oracle id of the violation being witnessed *)
   outcome_digest : string;  (* digest the replay must reproduce *)
@@ -35,7 +35,7 @@ let to_json t =
       ("strategy", Json.String t.strategy);
       ("seed", Json.Int t.seed);
       ( "mutant",
-        match t.mutant with Some m -> Json.String m | None -> Json.Null );
+        match t.mutant with Some m -> Json.String (Mutant.to_name m) | None -> Json.Null );
       ( "decisions",
         Json.List
           (List.map (fun d -> Json.List [ Json.Int d.step; Json.Int d.delay ]) t.decisions) );
@@ -56,7 +56,15 @@ let of_json j =
         mutant =
           (match Json.member "mutant" j with
           | Json.Null -> None
-          | m -> Some (Json.to_string m));
+          | m -> (
+              let name = Json.to_string m in
+              match Mutant.of_name name with
+              | Some m -> Some m
+              | None ->
+                  raise
+                    (Json.Type_error
+                       (Printf.sprintf "trace names unknown mutant %S (known: %s)" name
+                          (String.concat ", " Mutant.names)))));
         decisions =
           List.map
             (function

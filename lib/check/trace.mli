@@ -12,7 +12,7 @@ type t = {
   scenario : string;
   strategy : string;  (** strategy label the failure was found under *)
   seed : int;  (** workload seed: fixes the threads' op sequences *)
-  mutant : string option;  (** seeded bug, if this is a self-test trace *)
+  mutant : Mutant.t option;  (** seeded bug, if this is a self-test trace *)
   decisions : decision list;  (** injected stalls, by global checkpoint index *)
   failure : string;  (** oracle id of the violation being witnessed *)
   outcome_digest : string;  (** digest the replay must reproduce *)
@@ -25,5 +25,7 @@ val decisions_repr : decision list -> string
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
+(** Rejects, by name, a mutant that {!Mutant.of_name} does not know. *)
+
 val save : string -> t -> unit
 val load : string -> (t, string) result
