@@ -1,11 +1,11 @@
-.PHONY: all build test bench bench-quick bench-smoke bench-trajectory bench-diff \
-	bench-diff-gate examples regress regress-exact regress-perf regress-bless \
-	regress-paper regress-bless-paper trace-paper simcheck-smoke simcheck-selftest \
-	trace-smoke perf-smoke fmt fmt-check deps deps-fmt clean
+.PHONY: all build test bench bench-quick bench-smoke examples regress regress-exact \
+	regress-perf regress-bless regress-paper regress-bless-paper trace-paper \
+	simcheck-smoke simcheck-selftest trace-smoke perf-smoke perf-gate fmt fmt-check \
+	deps deps-fmt clean
 
 all: build
 
-# Generated result files (suite results, micro-bench output) land here
+# Generated result files (suite results, the perf-gate table) land here
 # instead of littering the repo root. Never committed.
 ART = regress/artifacts
 
@@ -27,28 +27,10 @@ bench-quick:
 bench-smoke:
 	QUICK=1 dune exec bench/main.exe -- smoke
 
-# Host-performance trajectory: run the simbench suite (wall-clock + GC
-# self-measurements land in BENCH_simbench.json) and the Bechamel
-# micro-benchmarks of the simulator primitives (ns/run and minor words/run,
-# written to bench-micro.txt). Virtual-time results are unaffected; this
-# measures how fast the simulator itself runs on the host.
-bench-trajectory:
-	@mkdir -p $(ART)
-	dune exec bin/simbench.exe -- run --out $(ART)/simbench-results.json --bench-out BENCH_simbench.json
-	dune exec bench/main.exe -- micro | tee $(ART)/bench-micro.txt
-
-# Advisory wall-clock comparison against a previous trajectory (e.g. a
-# cached BENCH file from the last CI run). Never fails: wall times on
-# shared runners are noise, the trajectory is for reading, not gating.
-PREV_BENCH ?= BENCH_simbench.prev.json
-bench-diff:
-	dune exec bin/simbench.exe -- bench-diff $(PREV_BENCH) BENCH_simbench.json
-
 # Regression harness: run the simbench suite against the golden baselines
 # under regress/baselines/. `regress` applies both gates; the -exact and
 # -perf variants are the split CI jobs. All targets honour EPOCHS_JOBS
-# (domain fan-out; results are bit-identical at any value) and write
-# wall-clock self-measurements to BENCH_simbench.json.
+# (domain fan-out; results are bit-identical at any value).
 regress:
 	@mkdir -p $(ART)
 	dune exec bin/simbench.exe -- check --out $(ART)/simbench-results.json
@@ -93,7 +75,7 @@ trace-smoke:
 # control workload (~20 s) also fails when a traced digest differs from the
 # untraced one or the trace ring drops events, and it runs the per-layer
 # micro-benchmarks, the event-queue dispatch micro among them. Timings are
-# not gated here.
+# gated by perf-gate.
 PERF_WORKLOADS = $(shell sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)
 perf-smoke:
 	@test -n "$(PERF_WORKLOADS)" || { echo "perf-smoke: no workloads in BENCHMARK.json"; exit 1; }
@@ -104,6 +86,43 @@ perf-smoke:
 	@echo "perf-smoke: leak-token-192 traced"
 	dune exec perf/main.exe -- run --workload leak-token-192 --seconds 1 --trace 1
 
+# Host-time gate: `perf/main.exe compare` of the parent commit against the
+# working tree, 3 alternating parent/change pairs of 1 s runs on every
+# BENCHMARK.json workload (~6 min on 2 vCPUs), under the verdict rule of
+# perf/compare.ml. The parent is HEAD when `git status --porcelain` shows
+# local changes and HEAD^1 otherwise (in CI: a PR merge commit's base, or
+# the previous commit on a push). It is checked out with `git worktree add`
+# into a temporary directory outside the dune workspace, which would
+# otherwise build it as part of this project, and removed on every exit.
+# Fails when compare exits non-zero (a side that does not build, a run
+# with incorrect outputs) or when any row's verdict reads `worse`, which
+# compare prints but does not exit on; `same`, `unresolved` and `improved`
+# pass. The table lands in $(ART)/perf-gate.txt.
+# Coverage: the workloads of record, which run four pr-tier entries
+# (pr-32), three paper-tier ABtree entries and offheap-1d. The other 16
+# pr-tier entries run for 1-120 ms each and spread beyond 1.25x between
+# runs of one build, so no single timing of them could tell a 25%
+# regression from noise; regress-exact gates their digests.
+# Limitation: compare reads the parent's BENCHMARK.json, so a benchmark
+# change that renames or removes an end-to-end metric fails this gate.
+perf-gate:
+	@mkdir -p $(ART)
+	@if [ -n "$$(git status --porcelain)" ]; then rev=HEAD; else rev=HEAD^1; fi; \
+	parent=$$(mktemp -d) || exit 1; \
+	trap 'rm -rf "$$parent"; git worktree prune' EXIT; \
+	trap 'exit 130' HUP INT TERM; \
+	git worktree add --detach "$$parent" "$$rev" || exit 1; \
+	echo "perf-gate: parent $$(git rev-parse --short "$$rev") ($$rev) vs the working tree"; \
+	{ dune exec perf/main.exe -- compare "$$parent" . --pairs 3 --seconds 1 \
+		|| echo "perf-gate: compare exited $$?"; } 2>&1 | tee $(ART)/perf-gate.txt; \
+	if grep -q '^perf-gate: compare exited' $(ART)/perf-gate.txt; then exit 1; fi; \
+	worse=$$(awk '$$NF == "worse"' $(ART)/perf-gate.txt); \
+	if [ -n "$$worse" ]; then \
+		echo "perf-gate: worse than the parent by more than the bound:"; \
+		echo "$$worse"; exit 1; \
+	fi; \
+	echo "perf-gate: no metric worse than the parent"
+
 # Paper-scale tier: the 192-thread configurations of the paper's headline
 # figures (ABtree on the 4-socket topology, all six allocator models x
 # {debra, token, hazard} x batch/AF), gated bit-exactly against their own
@@ -112,21 +131,14 @@ perf-smoke:
 regress-paper:
 	@mkdir -p $(ART)
 	dune exec bin/simbench.exe -- check --tier paper --exact \
-		--out $(ART)/simbench-paper-results.json --bench-out BENCH_simbench_paper.json
+		--out $(ART)/simbench-paper-results.json
 
 # One traced paper-scale entry: writes paper-traces/<id>.trace.json for
 # Perfetto. Tracing never perturbs virtual time, so the results JSON is
 # byte-identical to the untraced gate run.
 trace-paper:
 	dune exec bin/simbench.exe -- run --only paper-je-ebr-n192 --trace paper-traces \
-		--out paper-trace-results.json --bench-out paper-trace-bench.json
-
-# Gating form of bench-diff: fail on >25% wall-clock regression of any
-# suite entry vs the cached previous BENCH file. CI skips the gate when the
-# commit message contains [bench-skip] (see .github/workflows/ci.yml);
-# policy in EXPERIMENTS.md.
-bench-diff-gate:
-	dune exec bin/simbench.exe -- bench-diff --gate 25 $(PREV_BENCH) BENCH_simbench.json
+		--out paper-trace-results.json
 
 # Re-record the golden baselines (multi-seed, derives the perf tolerances).
 # Review the diff before committing: blessing legitimizes whatever the

@@ -10,7 +10,7 @@
    qualitative shape checks against the paper's reported numbers. *)
 
 let usage () =
-  print_endline "usage: main.exe [experiment-id ...] | list | micro | smoke";
+  print_endline "usage: main.exe [experiment-id ...] | list | smoke";
   print_endline "experiments:";
   List.iter (fun (id, _) -> Printf.printf "  %s\n" id) (Figures.all_figures @ Figures.extras)
 
@@ -22,7 +22,6 @@ let smoke_ids = [ "fig1" ]
 let rec run_one id =
   match List.assoc_opt id (Figures.all_figures @ Figures.extras) with
   | Some f -> f ()
-  | None when id = "micro" -> Micro.run ()
   | None when id = "smoke" -> List.iter run_one smoke_ids
   | None ->
       Printf.printf "unknown experiment %S\n" id;
@@ -36,7 +35,6 @@ let () =
         Exp.quick Exp.trials Exp.duration_ms;
       let t0 = Unix.gettimeofday () in
       List.iter (fun (_, f) -> f ()) Figures.all_figures;
-      Micro.run ();
       Exp.note "\nAll experiments regenerated in %.1f minutes."
         ((Unix.gettimeofday () -. t0) /. 60.)
   | _ :: [ "list" ] -> usage ()

@@ -140,18 +140,36 @@ let config ?churn ds smr alloc threads machine keys duration trials seed validat
       churn;
     }
   in
-  match Runtime.Config.check_churn cfg with Ok () -> cfg | Error msg -> die "%s" msg
+  match Runtime.Config.check cfg with
+  | Ok () -> cfg
+  | Error msg -> (
+      (* [check] names the config field it rejects; name the flag that set it too. *)
+      let flags =
+        [
+          ("threads", "--threads", threads);
+          ("key_range", "--keys", keys);
+          ("duration_ns", "--duration", duration);
+          ("trials", "--trials", trials);
+        ]
+      in
+      match
+        List.find_opt (fun (field, _, _) -> String.starts_with ~prefix:(field ^ " ") msg) flags
+      with
+      | Some (_, flag, v) -> die "%s %d: %s" flag v msg
+      | None -> die "%s" msg)
 
+(* [run] refuses --svg without --timeline, so a trial asked for a figure
+   always has its reclamation timeline. *)
 let maybe_write_svg (t : Runtime.Trial.t) = function
   | None -> ()
-  | Some path -> (
-      match t.Runtime.Trial.timeline_reclaim with
-      | Some tl ->
+  | Some path ->
+      Option.iter
+        (fun tl ->
           Timeline.Svg.write_file path
             (Timeline.Svg.render ~title:t.Runtime.Trial.config_label
                ~t0:t.Runtime.Trial.measure_start ~t1:t.Runtime.Trial.deadline tl);
-          Printf.printf "timeline figure written to %s\n" path
-      | None -> prerr_endline "--svg requires --timeline")
+          Printf.printf "timeline figure written to %s\n" path)
+        t.Runtime.Trial.timeline_reclaim
 
 let print_trial (t : Runtime.Trial.t) ~timeline ~garbage =
   Printf.printf "%s\n" t.Runtime.Trial.config_label;
@@ -204,6 +222,12 @@ let print_trial (t : Runtime.Trial.t) ~timeline ~garbage =
 let run_cmd =
   let run ds smr alloc threads machine keys duration trials seed validate timeline garbage
       af_drain zipf svg jobs trace trace_capacity churn =
+    (* Flags only this command reads, refused before any trial runs. *)
+    (match svg with
+    | Some path when not timeline -> die "--svg %s requires --timeline" path
+    | _ -> ());
+    if trace_capacity < 1 then
+      die "--trace-capacity %d is out of range; it must be >= 1" trace_capacity;
     let cfg =
       config ?churn ds smr alloc threads machine keys duration trials seed validate timeline
         af_drain zipf

@@ -166,12 +166,14 @@ let churn_of_spec spec =
       | _ -> fail ())
   | _ -> fail ()
 
-(* The one validity check for a churn plan against the run it is part of:
-   a plan must name a real thread or socket and no time before the start
-   of the measured window. Otherwise it would silently retire nobody, the
+(* The one validity check of a config. A run needs at least one thread,
+   key, virtual ns of window and trial; with none it crashes deep inside
+   the simulator or reports a throughput over an empty window. A churn
+   plan must name a real thread or socket and no time before the start of
+   the measured window. Otherwise it would silently retire nobody, the
    wrong threads, or everyone. Manifests ([of_json]), the CLI and
    [churn_schedule] all go through here. *)
-let check_churn cfg =
+let check cfg =
   let negative field v =
     if v < 0 then Some (Printf.sprintf "%s %d is negative; it must be >= 0" field v) else None
   in
@@ -196,9 +198,21 @@ let check_churn cfg =
             ~why:(Printf.sprintf "machine %s has %d sockets" m.Topology.name m.Topology.sockets);
         ]
   in
-  match cfg.churn with
-  | None -> Ok ()
-  | Some plan -> (
+  let below_one field v =
+    if v < 1 then Some (Printf.sprintf "%s %d is out of range; it must be >= 1" field v) else None
+  in
+  let range =
+    [
+      below_one "threads" cfg.threads;
+      below_one "key_range" cfg.key_range;
+      below_one "duration_ns" cfg.duration_ns;
+      below_one "trials" cfg.trials;
+    ]
+  in
+  match (List.find_map Fun.id range, cfg.churn) with
+  | Some msg, _ -> Error msg
+  | None, None -> Ok ()
+  | None, Some plan -> (
       match List.find_map Fun.id (problems plan) with
       | None -> Ok ()
       | Some msg -> Error (Printf.sprintf "churn %s: %s" (churn_name plan) msg))
@@ -211,7 +225,7 @@ let churn_schedule cfg =
   match cfg.churn with
   | None -> None
   | Some plan ->
-      (match check_churn cfg with Ok () -> () | Error msg -> invalid_arg msg);
+      (match check cfg with Ok () -> () | Error msg -> invalid_arg msg);
       let n = cfg.threads in
       let retire_at = Array.make n max_int in
       let respawn_at = Array.make n max_int in
@@ -297,6 +311,6 @@ let of_json ?(base = default) j =
     | other -> failwith (Printf.sprintf "unknown config field %S" other)
   in
   match List.fold_left apply base (Json.to_assoc j) with
-  | cfg -> Result.map (fun () -> cfg) (check_churn cfg)
+  | cfg -> Result.map (fun () -> cfg) (check cfg)
   | exception Failure msg -> Error msg
   | exception Json.Type_error msg -> Error msg

@@ -68,19 +68,21 @@ val churn_of_spec : string -> churn
     (see {!churn_spec_usage}).
     @raise Failure on a malformed spec, quoting the grammar. *)
 
-val check_churn : t -> (unit, string) result
-(** Check the churn plan against the run: [first_ns], [every_ns] and
-    [at_ns] must be [>= 0], a resize's [keep] must lie in
-    [\[0, threads)] and a failover's [socket] in [\[0, sockets)] of the
-    machine. The [Error] names the plan, the field and its valid range.
-    [Ok ()] when there is no plan. *)
+val check : t -> (unit, string) result
+(** The one validity check of a config. [threads], [key_range],
+    [duration_ns] and [trials] must be [>= 1]; the [Error] starts with the
+    field's name, then its value. Then the churn plan, if any, is checked
+    against the run: [first_ns], [every_ns] and [at_ns] must be [>= 0], a
+    resize's [keep] must lie in [\[0, threads)] and a failover's [socket]
+    in [\[0, sockets)] of the machine; the [Error] names the plan, the
+    field and its valid range. *)
 
 val churn_schedule : t -> (int array * int array) option
 (** Expand the plan into per-tid [(retire, respawn)] offsets relative to
     the start of the measured window; [max_int] = never. A pure function
     of the config, so every worker derives the same schedule — churn
     determinism rests on this.
-    @raise Invalid_argument when {!check_churn} rejects the plan. *)
+    @raise Invalid_argument when {!check} rejects a config with a plan. *)
 
 (** {1 Manifest serialization}
 
@@ -93,5 +95,5 @@ val to_json : t -> Json.t
 
 val of_json : ?base:t -> Json.t -> (t, string) result
 (** Apply the overrides in a JSON object to [base] (default {!default}).
-    Unknown fields, unknown machine names, type mismatches and churn plans
-    that {!check_churn} rejects are reported as [Error]. *)
+    Unknown fields, unknown machine names, type mismatches and configs
+    that {!check} rejects are reported as [Error]. *)

@@ -105,6 +105,40 @@ let test_config_rejects_unknown_field () =
   | Ok _ -> Alcotest.fail "accepted a typo'd field"
   | Error msg -> Alcotest.(check bool) "names the field" true (Helpers.contains msg "treads")
 
+(* A run needs at least one thread, key, virtual ns of window and trial.
+   With fewer it crashes inside the simulator or reports a throughput over
+   an empty window, so a config or a suite entry asking for fewer is
+   refused, naming the field and its value. *)
+let config_rejects_below_one field () =
+  List.iter
+    (fun v ->
+      let named = Printf.sprintf "%s %d" field v in
+      let refused what = function
+        | Ok _ -> Alcotest.failf "%s accepted %s" what named
+        | Error msg ->
+            Alcotest.(check bool) (Printf.sprintf "%s: %S names %S" what msg named) true
+              (Helpers.contains msg named)
+      in
+      refused "config" (Runtime.Config.of_json (Json.Assoc [ (field, Json.Int v) ]));
+      refused "manifest"
+        (Regress.Suite.of_manifest
+           (Json.Assoc
+              [
+                ("schema_version", Json.Int Regress.Suite.schema_version);
+                ("entries", Json.List [ Json.Assoc [ ("id", Json.String "e"); (field, Json.Int v) ] ]);
+              ])))
+    [ 0; -3 ]
+
+let test_config_accepts_one () =
+  let fields = [ "threads"; "key_range"; "duration_ns"; "trials" ] in
+  match Runtime.Config.of_json (Json.Assoc (List.map (fun f -> (f, Json.Int 1)) fields)) with
+  | Error msg -> Alcotest.fail msg
+  | Ok cfg ->
+      (* The smallest run the check admits runs. *)
+      let t = run { cfg with Runtime.Config.ds = "list"; warmup_ns = 0; grace_ns = 1_000 } in
+      Alcotest.(check int) "no violations" 0 t.Runtime.Trial.violations;
+      Alcotest.(check bool) "some ops" true (t.Runtime.Trial.ops > 0)
+
 let test_suite_manifest_round_trip () =
   match Regress.Suite.of_manifest (Regress.Suite.to_manifest Regress.Suite.builtin) with
   | Ok entries ->
@@ -268,6 +302,11 @@ let suite =
       Helpers.quick "trial_records_seed" test_trial_records_seed;
       Helpers.quick "config_round_trip" test_config_round_trip;
       Helpers.quick "config_rejects_unknown_field" test_config_rejects_unknown_field;
+      Helpers.quick "config_rejects_threads_below_1" (config_rejects_below_one "threads");
+      Helpers.quick "config_rejects_key_range_below_1" (config_rejects_below_one "key_range");
+      Helpers.quick "config_rejects_duration_ns_below_1" (config_rejects_below_one "duration_ns");
+      Helpers.quick "config_rejects_trials_below_1" (config_rejects_below_one "trials");
+      Helpers.quick "config_accepts_1_for_each_field" test_config_accepts_one;
       Helpers.quick "suite_manifest_round_trip" test_suite_manifest_round_trip;
       Helpers.quick "suite_covers_paper_axes" test_suite_covers_paper_axes;
       Helpers.quick "exact_gate_pass_and_fail" test_exact_gate_pass_and_fail;
