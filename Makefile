@@ -1,7 +1,6 @@
-.PHONY: all build test bench bench-quick bench-smoke examples regress regress-exact \
-	regress-perf regress-bless regress-paper regress-bless-paper trace-paper \
-	simcheck-smoke simcheck-selftest trace-smoke perf-smoke perf-gate fmt fmt-check \
-	deps deps-fmt clean
+.PHONY: all build test bench bench-quick bench-smoke examples regress regress-bless \
+	regress-paper regress-bless-paper trace-paper simcheck-smoke simcheck-selftest \
+	trace-smoke perf-smoke perf-gate fmt fmt-check deps deps-fmt clean
 
 all: build
 
@@ -27,21 +26,15 @@ bench-quick:
 bench-smoke:
 	QUICK=1 dune exec bench/main.exe -- smoke
 
-# Regression harness: run the simbench suite against the golden baselines
-# under regress/baselines/. `regress` applies both gates; the -exact and
-# -perf variants are the split CI jobs. All targets honour EPOCHS_JOBS
-# (domain fan-out; results are bit-identical at any value).
+# Regression harness: run the pr tier of the simbench suite against the
+# golden baselines under regress/baselines/. `simbench check` is the one
+# gate: each entry must run at its baseline's seed, match its digest bit
+# for bit, and record zero grace-period violations. All regress targets
+# honour EPOCHS_JOBS (domain fan-out; results are bit-identical at any
+# value).
 regress:
 	@mkdir -p $(ART)
 	dune exec bin/simbench.exe -- check --out $(ART)/simbench-results.json
-
-regress-exact:
-	@mkdir -p $(ART)
-	dune exec bin/simbench.exe -- check --exact --out $(ART)/simbench-results.json
-
-regress-perf:
-	@mkdir -p $(ART)
-	dune exec bin/simbench.exe -- check --perf --out $(ART)/simbench-results.json
 
 # Model checker: explore adversarial schedules across every scenario with a
 # bounded budget (350 seeds x 3 strategies = 1050+ distinct schedules per
@@ -102,7 +95,7 @@ perf-smoke:
 # (pr-32), three paper-tier ABtree entries and offheap-1d. The other 16
 # pr-tier entries run for 1-120 ms each and spread beyond 1.25x between
 # runs of one build, so no single timing of them could tell a 25%
-# regression from noise; regress-exact gates their digests.
+# regression from noise; `make regress` gates their digests.
 # Limitation: compare reads the parent's BENCHMARK.json, so a benchmark
 # change that renames or removes an end-to-end metric fails this gate.
 perf-gate:
@@ -125,12 +118,12 @@ perf-gate:
 
 # Paper-scale tier: the 192-thread configurations of the paper's headline
 # figures (ABtree on the 4-socket topology, all six allocator models x
-# {debra, token, hazard} x batch/AF), gated bit-exactly against their own
-# blessed baselines. About 7 s on 2 domains; CI runs it on every PR
+# {debra, token, hazard} x batch/AF), under the same gate against their
+# own blessed baselines. About 7 s on 2 domains; CI runs it on every PR
 # (ci.yml) and nightly with a traced run (paper-scale.yml).
 regress-paper:
 	@mkdir -p $(ART)
-	dune exec bin/simbench.exe -- check --tier paper --exact \
+	dune exec bin/simbench.exe -- check --tier paper \
 		--out $(ART)/simbench-paper-results.json
 
 # One traced paper-scale entry: writes paper-traces/<id>.trace.json for
@@ -140,9 +133,10 @@ trace-paper:
 	dune exec bin/simbench.exe -- run --only paper-je-ebr-n192 --trace paper-traces \
 		--out paper-trace-results.json
 
-# Re-record the golden baselines (multi-seed, derives the perf tolerances).
-# Review the diff before committing: blessing legitimizes whatever the
-# current build produces.
+# Re-record the golden baselines: one run per entry at its seed. Bless
+# refuses, writing nothing, when a run would fail `check` (a grace-period
+# violation). Review the diff before committing: blessing legitimizes
+# whatever digests the current build produces.
 regress-bless:
 	dune exec bin/simbench.exe -- bless
 

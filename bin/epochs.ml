@@ -104,8 +104,8 @@ let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_job
    usage errors — never with an uncaught exception. *)
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("epochs: " ^ msg); exit 2) fmt
 
-let config ?churn ds smr alloc threads machine keys duration trials seed validate timeline
-    af_drain zipf =
+let config ?churn ?(smr_flag = "--smr") ds smr alloc threads machine keys duration trials seed
+    validate timeline af_drain zipf =
   let topology =
     match Simcore.Topology.by_name machine with
     | Some t -> t
@@ -146,16 +146,20 @@ let config ?churn ds smr alloc threads machine keys duration trials seed validat
       (* [check] names the config field it rejects; name the flag that set it too. *)
       let flags =
         [
-          ("threads", "--threads", threads);
-          ("key_range", "--keys", keys);
-          ("duration_ns", "--duration", duration);
-          ("trials", "--trials", trials);
+          ("ds", "--ds", ds);
+          ("smr", smr_flag, smr);
+          ("alloc", "--alloc", alloc);
+          ("threads", "--threads", string_of_int threads);
+          ("key_range", "--keys", string_of_int keys);
+          ("duration_ns", "--duration", string_of_int duration);
+          ("trials", "--trials", string_of_int trials);
+          ("af_drain", "--af-drain", string_of_int af_drain);
         ]
       in
       match
         List.find_opt (fun (field, _, _) -> String.starts_with ~prefix:(field ^ " ") msg) flags
       with
-      | Some (_, flag, v) -> die "%s %d: %s" flag v msg
+      | Some (_, flag, v) -> die "%s %s: %s" flag v msg
       | None -> die "%s" msg)
 
 (* [run] refuses --svg without --timeline, so a trial asked for a figure
@@ -281,9 +285,12 @@ let sweep_cmd =
              $(b,all_af) to every amortized-free variant.")
   in
   let threads_list_arg =
-    Arg.(value & opt string "12,24,48,96,144,192" & info [ "threads" ] ~docv:"NS" ~doc:"Comma-separated thread counts.")
+    Arg.(
+      value
+      & opt (list int) [ 12; 24; 48; 96; 144; 192 ]
+      & info [ "threads" ] ~docv:"NS" ~doc:"Comma-separated thread counts.")
   in
-  let run ds smrs alloc threads_list machine keys duration trials seed jobs churn =
+  let run ds smrs alloc threads machine keys duration trials seed jobs churn =
     let jobs = resolve_jobs jobs in
     (* [all] / [all_af] expand from the registry, so a newly registered
        reclaimer shows up in sweeps without touching the CLI. *)
@@ -295,7 +302,6 @@ let sweep_cmd =
           | s -> [ s ])
         (comma_list smrs)
     in
-    let threads = comma_list threads_list |> List.map int_of_string in
     let table = Report.Table.create ("smr \\ n" :: List.map string_of_int threads) in
     (* Every (smr, n) cell is independent: fan the whole grid out at once
        (cell-level beats trial-level here — the grid is much wider than
@@ -331,11 +337,13 @@ let compare_cmd =
   let smr_a = Arg.(value & pos 0 string "debra" & info [] ~docv:"SMR_A") in
   let smr_b = Arg.(value & pos 1 string "debra_af" & info [] ~docv:"SMR_B") in
   let run smr_a smr_b ds alloc threads machine keys duration trials seed =
-    let mk smr =
-      let cfg = config ds smr alloc threads machine keys duration trials seed false false 1 None in
-      List.hd (Runtime.Runner.run cfg)
+    (* Both configs are checked before either runs. *)
+    let cfg smr_flag smr =
+      config ~smr_flag ds smr alloc threads machine keys duration trials seed false false 1 None
     in
-    let a = mk smr_a and b = mk smr_b in
+    let cfg_a = cfg "SMR_A" smr_a in
+    let cfg_b = cfg "SMR_B" smr_b in
+    let a = List.hd (Runtime.Runner.run cfg_a) and b = List.hd (Runtime.Runner.run cfg_b) in
     let row label f g =
       Printf.printf "%-16s %14s %14s
 " label (f a) (g a b)

@@ -1,17 +1,17 @@
 (* simbench: the deterministic regression harness CLI.
 
-     dune exec bin/simbench.exe -- run                # run suite, write results JSON
-     dune exec bin/simbench.exe -- check --exact      # digest gate (bit-exact determinism)
-     dune exec bin/simbench.exe -- check --perf       # tolerance gate (throughput / garbage)
-     dune exec bin/simbench.exe -- bless              # regenerate regress/baselines/
+     dune exec bin/simbench.exe -- run     # run suite, write results JSON
+     dune exec bin/simbench.exe -- check   # the gate: seed, digest, zero violations
+     dune exec bin/simbench.exe -- bless   # regenerate regress/baselines/
      dune exec bin/simbench.exe -- list | manifest
 
    The suite of record is regress/suite.json (builtin fallback when the
    file is absent); golden files live under regress/baselines/, one JSON
    per entry. `check` exits non-zero on any gate failure and prints a
-   per-metric diff. All output files are canonical JSON: running the same
-   suite twice produces byte-identical bytes, which is itself the
-   determinism contract the exact gate enforces. *)
+   per-metric diff; `bless` writes nothing when a run would fail `check`.
+   All output files are canonical JSON: running the same suite twice
+   produces byte-identical bytes, which is itself the determinism contract
+   the gate enforces. *)
 
 open Cmdliner
 
@@ -37,12 +37,6 @@ let out_arg =
     value
     & opt string default_out
     & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the run's results as JSON.")
-
-let seeds_arg =
-  Arg.(
-    value & opt int 3
-    & info [ "seeds" ] ~docv:"K"
-        ~doc:"Seeds per entry used to derive perf tolerances when blessing.")
 
 let jobs_arg =
   Arg.(
@@ -205,13 +199,7 @@ let run_cmd =
       const run $ suite_arg $ out_arg $ jobs_arg $ trace_dir_arg $ tier_arg $ only_arg)
 
 let check_cmd =
-  let exact_flag = Arg.(value & flag & info [ "exact" ] ~doc:"Digest gate: bit-exact determinism.") in
-  let perf_flag =
-    Arg.(value & flag & info [ "perf" ] ~doc:"Tolerance gate: throughput and peak garbage.")
-  in
-  let run suite baselines out jobs exact perf tier only =
-    (* No mode flag means both gates. *)
-    let exact, perf = if exact || perf then (exact, perf) else (true, true) in
+  let run suite baselines out jobs tier only =
     let jobs = resolve_jobs jobs in
     let entries, suite_label = load_suite suite in
     let entries = select_entries ~tier ~only entries in
@@ -221,9 +209,7 @@ let check_cmd =
         (fun (_, (res : Regress.Baseline.result)) ->
           match Regress.Baseline.load ~dir:baselines res.Regress.Baseline.id with
           | Error msg -> [ Regress.Gate.error ~id:res.Regress.Baseline.id msg ]
-          | Ok expected ->
-              (if exact then Regress.Gate.exact ~expected ~got:res else [])
-              @ (if perf then Regress.Gate.perf ~expected ~got:res else []))
+          | Ok expected -> Regress.Gate.exact ~expected ~got:res)
         results
     in
     print_endline (Regress.Gate.render findings);
@@ -237,52 +223,44 @@ let check_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "check" ~doc:"Run the suite and compare against the golden baselines.")
-    Term.(
-      const run $ suite_arg $ baselines_arg $ out_arg $ jobs_arg $ exact_flag $ perf_flag
-      $ tier_arg $ only_arg)
+    (Cmd.info "check"
+       ~doc:
+         "Run the suite and gate each entry against its golden baseline: same seed, same \
+          digest, zero grace-period violations.")
+    Term.(const run $ suite_arg $ baselines_arg $ out_arg $ jobs_arg $ tier_arg $ only_arg)
 
 let bless_cmd =
-  let run suite baselines seeds jobs tier only =
-    if seeds < 1 then die "simbench: --seeds must be at least 1";
+  let run suite baselines jobs tier only =
     let jobs = resolve_jobs jobs in
     let entries, _ = load_suite suite in
     let entries = select_entries ~tier ~only entries in
-    (* Fan the full (entry, seed) cross product out at once: the variance
-       estimation is seeds x entries independent trials, the widest
-       parallelism this command has to offer. *)
-    let tasks =
-      List.concat_map
-        (fun (e : Regress.Suite.entry) ->
-          List.init seeds (fun i -> (e, e.Regress.Suite.config.Runtime.Config.seed + i)))
-        entries
+    let blessed = List.map snd (run_suite ~jobs entries) in
+    (* Gate each run against itself, which leaves only the checks a
+       baseline cannot excuse: a run that `check` would fail is never
+       written. *)
+    let failed =
+      List.concat_map (fun r -> Regress.Gate.exact ~expected:r ~got:r) blessed
+      |> List.filter (fun f -> not f.Regress.Gate.ok)
     in
-    let runs =
-      Runtime.Pool.map ~jobs
-        (fun ((e : Regress.Suite.entry), seed) ->
-          Printf.eprintf "simbench: blessing %s seed %d\n%!" e.Regress.Suite.id seed;
-          Regress.Baseline.of_trial ~id:e.Regress.Suite.id
-            (Runtime.Runner.run_trial e.Regress.Suite.config ~seed))
-        tasks
-    in
+    if failed <> [] then begin
+      print_endline (Regress.Gate.render failed);
+      Printf.printf "simbench bless: %d findings FAILED; no baseline written\n"
+        (List.length failed);
+      exit 1
+    end;
     List.iter
-      (fun (e : Regress.Suite.entry) ->
-        let id = e.Regress.Suite.id in
-        let runs = List.filter (fun r -> r.Regress.Baseline.id = id) runs in
-        let tol = Regress.Baseline.derive_tolerance runs in
-        let blessed = Regress.Baseline.with_tolerance tol (List.hd runs) in
-        Regress.Baseline.save ~dir:baselines blessed;
-        Printf.printf "blessed %-18s seed %d  tol: throughput -%.1f%%, garbage +%.1f%%+%d\n" id
-          blessed.Regress.Baseline.seed
-          (tol.Regress.Baseline.max_throughput_drop *. 100.)
-          (tol.Regress.Baseline.max_garbage_rise *. 100.)
-          tol.Regress.Baseline.garbage_slack)
-      entries;
+      (fun (r : Regress.Baseline.result) ->
+        Regress.Baseline.save ~dir:baselines r;
+        Printf.printf "blessed %-18s seed %d\n" r.Regress.Baseline.id r.Regress.Baseline.seed)
+      blessed;
     Printf.printf "baselines written to %s\n" baselines
   in
   Cmd.v
-    (Cmd.info "bless" ~doc:"Regenerate the golden baselines (with multi-seed tolerances).")
-    Term.(const run $ suite_arg $ baselines_arg $ seeds_arg $ jobs_arg $ tier_arg $ only_arg)
+    (Cmd.info "bless"
+       ~doc:
+         "Regenerate the golden baselines: one run per entry at its seed. Writes nothing when a \
+          run would fail $(b,check).")
+    Term.(const run $ suite_arg $ baselines_arg $ jobs_arg $ tier_arg $ only_arg)
 
 let list_cmd =
   let run suite tier =
@@ -317,7 +295,7 @@ let manifest_cmd =
     Term.(const run $ out_arg)
 
 let () =
-  let doc = "Deterministic regression harness: golden baselines and perf gates" in
+  let doc = "Deterministic regression harness: golden baselines and their gate" in
   let info = Cmd.info "simbench" ~version:"1.0.0" ~doc in
   exit
     (Cmd.eval

@@ -63,7 +63,6 @@ let fresh t ~size_class ~home =
 
 let size_class t h = Simcore.Vec.get t.size_class h
 let home t h = Simcore.Vec.get t.home h
-let set_home t h home = Simcore.Vec.set t.home h home
 
 let is_live t h = h >= 0 && h < t.n && Bytes.get !(t.live) h = '\001'
 

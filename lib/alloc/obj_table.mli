@@ -29,7 +29,6 @@ val fresh : t -> size_class:int -> home:int -> int
 
 val size_class : t -> int -> int
 val home : t -> int -> int
-val set_home : t -> int -> int -> unit
 
 val is_live : t -> int -> bool
 

@@ -4,11 +4,11 @@ let names = [ "jemalloc"; "jemalloc-ba"; "tcmalloc"; "mimalloc"; "leak"; "jemall
 
 let make ?config name sched =
   match name with
-  | "jemalloc" | "je" -> Jemalloc_sim.make ?config sched
-  | "jemalloc-ba" | "jeba" -> Jemalloc_batch_aware.make ?config sched
-  | "jemalloc-pool" | "jepool" ->
+  | "jemalloc" -> Jemalloc_sim.make ?config sched
+  | "jemalloc-ba" -> Jemalloc_batch_aware.make ?config sched
+  | "jemalloc-pool" ->
       fst (Pooled.wrap ~n:(Simcore.Sched.n_threads sched) (Jemalloc_sim.make ?config sched))
-  | "tcmalloc" | "tc" -> Tcmalloc_sim.make ?config sched
-  | "mimalloc" | "mi" -> Mimalloc_sim.make ?config sched
-  | "leak" | "none" -> Leak_alloc.make ?config sched
+  | "tcmalloc" -> Tcmalloc_sim.make ?config sched
+  | "mimalloc" -> Mimalloc_sim.make ?config sched
+  | "leak" -> Leak_alloc.make ?config sched
   | _ -> invalid_arg (Printf.sprintf "Alloc.Registry.make: unknown allocator %S" name)

@@ -5,6 +5,6 @@ val names : string list
     ("jemalloc-ba") and pooled JEmalloc ("jemalloc-pool"). *)
 
 val make : ?config:Alloc_intf.config -> string -> Simcore.Sched.t -> Alloc_intf.t
-(** Instantiate an allocator for a scheduler. Accepts the aliases "je",
-    "tc", "mi" and "none".
+(** Instantiate an allocator for a scheduler by name (a member of
+    {!names}).
     @raise Invalid_argument on an unknown name. *)

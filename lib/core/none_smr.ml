@@ -5,6 +5,12 @@
 
 open Simcore
 
+(* Every reclaimer emits a [Retire] instant beside [metrics.retires]. *)
+let trace_retire (th : Sched.thread) h =
+  let tr = Sched.tracer th.Sched.sched in
+  if Tracer.enabled tr then
+    Tracer.instant tr Tracer.Retire ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:h ~b:0
+
 let make (ctx : Smr_intf.ctx) =
   let n = Sched.n_threads ctx.Smr_intf.sched in
   let leaked = Array.make n 0 in
@@ -13,9 +19,10 @@ let make (ctx : Smr_intf.ctx) =
     begin_op = (fun _ -> ());
     end_op = (fun _ -> ());
     retire =
-      (fun th _h ->
+      (fun th h ->
         leaked.(th.Sched.tid) <- leaked.(th.Sched.tid) + 1;
-        th.Sched.metrics.Metrics.retires <- th.Sched.metrics.Metrics.retires + 1);
+        th.Sched.metrics.Metrics.retires <- th.Sched.metrics.Metrics.retires + 1;
+        trace_retire th h);
     (* Leaked objects stay leaked; nothing to hand off on thread exit. *)
     on_thread_exit = (fun _ -> ());
     per_node_ns = 0;
@@ -38,6 +45,7 @@ let unsafe_immediate (ctx : Smr_intf.ctx) =
         | Some s -> Safety.note_retire s ~handle:h ~time:(Sched.now th)
         | None -> ());
         th.Sched.metrics.Metrics.retires <- th.Sched.metrics.Metrics.retires + 1;
+        trace_retire th h;
         Free_policy.free_one ctx.Smr_intf.policy th h);
     (* Everything was freed at retire; nothing outstanding at thread exit. *)
     on_thread_exit = (fun _ -> ());

@@ -37,16 +37,3 @@ type ctx = {
 }
 
 let n_threads ctx = Sched.n_threads ctx.sched
-
-let noop_reclaimer =
-  {
-    name = "noop";
-    begin_op = (fun _ -> ());
-    end_op = (fun _ -> ());
-    retire = (fun _ _ -> ());
-    on_thread_exit = (fun _ -> ());
-    per_node_ns = 0;
-    uses_grace_periods = false;
-    garbage_of = (fun _ -> 0);
-    total_garbage = (fun () -> 0);
-  }

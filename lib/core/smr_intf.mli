@@ -35,6 +35,3 @@ type ctx = {
 }
 
 val n_threads : ctx -> int
-
-val noop_reclaimer : t
-(** Ignores everything; useful as a stub. *)

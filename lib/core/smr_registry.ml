@@ -61,10 +61,6 @@ let table : (string * string * (params -> Smr_intf.ctx -> Smr_intf.t)) list =
       fun _ -> None_smr.unsafe_immediate );
   ]
 
-(* The ten algorithms of Experiments 1 and 2, in the paper's order. *)
-let paper_algorithms =
-  [ "token"; "debra"; "he"; "hp"; "ibr"; "nbr"; "nbr+"; "qsbr"; "rcu"; "wfe" ]
-
 let names = List.map (fun (name, _, _) -> name) table
 let describe name = List.find_map (fun (n, doc, _) -> if n = name then Some doc else None) table
 

@@ -6,10 +6,6 @@
     and the unknown-name error all derive from it, so registering a new
     reclaimer is a one-place change. *)
 
-val paper_algorithms : string list
-(** The ten algorithms of Experiments 1 and 2, in the paper's order (a
-    subset of {!names}). *)
-
 val names : string list
 (** Every registered base name, in registry order. Each also accepts an
     ["_af"] suffix (see {!parse}). *)

@@ -7,9 +7,9 @@ let names = [ "abtree"; "occtree"; "dgt"; "skiplist"; "list" ]
 
 let make name ctx (th : Sched.thread) =
   match name with
-  | "abtree" | "ab" -> Abtree.make ctx th
-  | "occtree" | "occ" -> Occ_tree.make ctx
+  | "abtree" -> Abtree.make ctx th
+  | "occtree" -> Occ_tree.make ctx
   | "dgt" -> Dgt_bst.make ctx
-  | "skiplist" | "sl" -> Skiplist.make ctx
-  | "list" | "ll" -> Ll_set.make ctx
+  | "skiplist" -> Skiplist.make ctx
+  | "list" -> Ll_set.make ctx
   | _ -> invalid_arg (Printf.sprintf "Ds_registry.make: unknown data structure %S" name)

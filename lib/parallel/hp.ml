@@ -193,7 +193,6 @@ let retire h ~value release =
   if h.rcount > h.max_retired then h.max_retired <- h.rcount;
   if h.rcount >= h.t.scan_threshold then scan h
 
-let current_mode t = t.mode
 let pending h = h.rcount + List.length h.freeable
 let retired h = h.retired_count
 let released h = h.released_count

@@ -69,8 +69,6 @@ val is_protected : t -> int -> bool
 val protected_values : t -> int list
 (** Snapshot of all published (non-empty) slots, in slot order. *)
 
-val current_mode : t -> mode
-
 val pending : handle -> int
 (** Entries retired but not yet released (retire list + drain queue). *)
 

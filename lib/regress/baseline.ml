@@ -1,22 +1,9 @@
 (* Golden baseline records. See baseline.mli. *)
 
-type tolerance = {
-  max_throughput_drop : float;
-  max_garbage_rise : float;
-  garbage_slack : int;
-}
-
-(* Floors applied when no multi-seed variance is available: a single-core
-   deterministic simulator has zero run-to-run noise, but baselines must
-   survive innocuous cross-version float differences and deliberate small
-   perf-neutral refactors without constant re-blessing. *)
-let default_tolerance = { max_throughput_drop = 0.15; max_garbage_rise = 0.50; garbage_slack = 64 }
-
 type result = {
   id : string;
   seed : int;
   digest : string;
-  tolerance : tolerance option;
   metrics : (string * Json.t) list;
 }
 
@@ -27,7 +14,6 @@ let of_trial ~id (t : Runtime.Trial.t) =
     id;
     seed = t.Runtime.Trial.seed;
     digest = Runtime.Trial.digest t;
-    tolerance = None;
     metrics =
       [
         ("throughput", Json.Float t.Runtime.Trial.throughput);
@@ -55,62 +41,20 @@ let of_trial ~id (t : Runtime.Trial.t) =
       ];
   }
 
-let with_tolerance tol r = { r with tolerance = Some tol }
-
 let metric r name =
   match List.assoc_opt name r.metrics with
   | Some v -> ( try Some (Json.to_float v) with Json.Type_error _ -> None)
   | None -> None
 
-let rel_spread = function
-  | [] | [ _ ] -> 0.
-  | x :: _ as xs ->
-      let mn = List.fold_left Float.min x xs and mx = List.fold_left Float.max x xs in
-      let mean = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs) in
-      if mean <= 0. then 0. else (mx -. mn) /. mean
-
-let clamp lo hi v = Float.max lo (Float.min hi v)
-
-let derive_tolerance results =
-  if List.length results < 2 then default_tolerance
-  else
-    let values name = List.filter_map (fun r -> metric r name) results in
-    {
-      max_throughput_drop =
-        clamp default_tolerance.max_throughput_drop 0.50 (3. *. rel_spread (values "throughput"));
-      max_garbage_rise =
-        clamp default_tolerance.max_garbage_rise 1.50
-          (3. *. rel_spread (values "peak_epoch_garbage"));
-      garbage_slack = default_tolerance.garbage_slack;
-    }
-
-let tolerance_to_json tol =
-  Json.Assoc
-    [
-      ("max_throughput_drop", Json.Float tol.max_throughput_drop);
-      ("max_garbage_rise", Json.Float tol.max_garbage_rise);
-      ("garbage_slack", Json.Int tol.garbage_slack);
-    ]
-
-let tolerance_of_json j =
-  {
-    max_throughput_drop = Json.to_float (Json.member "max_throughput_drop" j);
-    max_garbage_rise = Json.to_float (Json.member "max_garbage_rise" j);
-    garbage_slack = Json.to_int (Json.member "garbage_slack" j);
-  }
-
 let to_json r =
   Json.Assoc
-    ([
-       ("schema_version", Json.Int schema_version);
-       ("id", Json.String r.id);
-       ("seed", Json.Int r.seed);
-       ("digest", Json.String r.digest);
-     ]
-    @ (match r.tolerance with
-      | Some tol -> [ ("tolerance", tolerance_to_json tol) ]
-      | None -> [])
-    @ [ ("metrics", Json.Assoc r.metrics) ])
+    [
+      ("schema_version", Json.Int schema_version);
+      ("id", Json.String r.id);
+      ("seed", Json.Int r.seed);
+      ("digest", Json.String r.digest);
+      ("metrics", Json.Assoc r.metrics);
+    ]
 
 let of_json j =
   try
@@ -128,10 +72,6 @@ let of_json j =
         id;
         seed = Json.to_int (Json.member "seed" j);
         digest = Json.to_string (Json.member "digest" j);
-        tolerance =
-          (match Json.member "tolerance" j with
-          | Json.Null -> None
-          | t -> Some (tolerance_of_json t));
         metrics = Json.to_assoc (Json.member "metrics" j);
       }
   with

@@ -2,44 +2,27 @@
     entry's trial, checked in under [regress/baselines/<id>.json] and
     compared by {!Gate} on every run.
 
-    A record carries the digest of the full serialized {!Runtime.Trial.t}
-    (the exact gate), a fixed ordered list of summary metrics (the perf
-    gate and the readable diffs), and — in blessed baselines — per-metric
-    tolerances derived from multi-seed variance at bless time. *)
-
-type tolerance = {
-  max_throughput_drop : float;  (** fraction, e.g. [0.15] = 15% *)
-  max_garbage_rise : float;  (** fraction of the baseline peak *)
-  garbage_slack : int;  (** absolute headroom for small-count noise *)
-}
-
-val default_tolerance : tolerance
+    A record carries the seed and the digest of the full serialized
+    {!Runtime.Trial.t}, which {!Gate.exact} compares, and a fixed ordered
+    list of summary metrics: the readable diff on a digest mismatch, and
+    the [violations] count the gate requires to be zero. *)
 
 type result = {
   id : string;
   seed : int;
   digest : string;  (** {!Runtime.Trial.digest} of the trial *)
-  tolerance : tolerance option;  (** present in blessed baselines *)
   metrics : (string * Json.t) list;  (** ordered summary, numeric values *)
 }
 
 val schema_version : int
 
 val of_trial : id:string -> Runtime.Trial.t -> result
-(** Summarize a trial (no tolerance). The metric list includes throughput,
-    garbage statistics, reclamation counters, memory peaks, perf-style
-    shares, and op-latency percentiles p50/p99/p99.9. *)
-
-val with_tolerance : tolerance -> result -> result
+(** Summarize a trial. The metric list includes throughput, garbage
+    statistics, reclamation counters, memory peaks, perf-style shares,
+    op-latency percentiles p50/p99/p99.9 and grace-period violations. *)
 
 val metric : result -> string -> float option
 (** Numeric lookup into [metrics]. *)
-
-val derive_tolerance : result list -> tolerance
-(** Tolerance from the relative spread of throughput and peak epoch garbage
-    across same-config, different-seed results (3x the spread, clamped to
-    sane floors and ceilings). With fewer than two results this is
-    {!default_tolerance}. *)
 
 (** {1 Files} *)
 

@@ -25,7 +25,7 @@ let change_str ~metric ~from ~to_ =
   Printf.sprintf "%s -> %s (%+.1f%%)" (show metric from) (show metric to_)
     (pct_change ~from ~to_)
 
-let exact ~(expected : Baseline.result) ~(got : Baseline.result) =
+let digest_findings ~(expected : Baseline.result) ~(got : Baseline.result) =
   let id = expected.Baseline.id in
   if expected.Baseline.seed <> got.Baseline.seed then
     [
@@ -67,60 +67,16 @@ let exact ~(expected : Baseline.result) ~(got : Baseline.result) =
     digest_finding :: moved
   end
 
-let perf ~(expected : Baseline.result) ~(got : Baseline.result) =
-  let id = expected.Baseline.id in
-  let tol =
-    match expected.Baseline.tolerance with
-    | Some tol -> tol
-    | None -> Baseline.default_tolerance
-  in
-  let need name k =
-    match (Baseline.metric expected name, Baseline.metric got name) with
-    | Some a, Some b -> k a b
-    | _ -> { id; metric = name; ok = false; detail = "metric missing from baseline or run" }
-  in
-  let throughput =
-    need "throughput" (fun exp got_v ->
-        let floor = exp *. (1. -. tol.Baseline.max_throughput_drop) in
-        {
-          id;
-          metric = "throughput";
-          ok = got_v >= floor;
-          detail =
-            Printf.sprintf "%s, allowed drop %.1f%% (floor %s)"
-              (change_str ~metric:"throughput" ~from:exp ~to_:got_v)
-              (tol.Baseline.max_throughput_drop *. 100.)
-              (Report.Table.mops floor);
-        })
-  in
-  let garbage =
-    need "peak_epoch_garbage" (fun exp got_v ->
-        let ceiling =
-          (exp *. (1. +. tol.Baseline.max_garbage_rise))
-          +. float_of_int tol.Baseline.garbage_slack
-        in
-        {
-          id;
-          metric = "peak_epoch_garbage";
-          ok = got_v <= ceiling;
-          detail =
-            Printf.sprintf "%s, allowed rise %.1f%% + %d (ceiling %s)"
-              (change_str ~metric:"peak_epoch_garbage" ~from:exp ~to_:got_v)
-              (tol.Baseline.max_garbage_rise *. 100.)
-              tol.Baseline.garbage_slack
-              (Report.Table.count (int_of_float ceiling));
-        })
-  in
-  let violations =
-    need "violations" (fun _ got_v ->
-        {
-          id;
-          metric = "violations";
-          ok = got_v = 0.;
-          detail = Printf.sprintf "%.0f grace-period violations (must be 0)" got_v;
-        })
-  in
-  [ throughput; garbage; violations ]
+(* Safety is checked on the run alone: a baseline blessed from an unsafe
+   run must not make the run pass. *)
+let safety (got : Baseline.result) =
+  let fail detail = [ { id = got.Baseline.id; metric = "violations"; ok = false; detail } ] in
+  match Baseline.metric got "violations" with
+  | Some 0. -> []
+  | Some v -> fail (Printf.sprintf "%.0f grace-period violations (must be 0)" v)
+  | None -> fail "missing from this run"
+
+let exact ~expected ~got = digest_findings ~expected ~got @ safety got
 
 let render findings =
   let line f =

@@ -1,14 +1,14 @@
 (* The curated simbench suite, in tiers.
 
    - "pr": deliberately tiny configurations — a few virtual milliseconds
-     each — because the exact gate must run on every PR.
+     each — so the whole tier gates in seconds.
    - "paper": the paper's headline shape — 192 virtual threads on the
      4-socket Xeon 8160 topology, every allocator model crossed with
-     {debra, token} x {batch, amortized free} — gated on a schedule and
-     on demand, not per PR.
+     {debra, token, hazard} x {batch, amortized free} — about 7 s on two
+     domains.
 
-   Both tiers carry golden baselines; `simbench --tier` selects which to
-   run (default "pr", so PR CI latency is unaffected by the paper tier). *)
+   Both tiers carry golden baselines and both are gated on every PR;
+   `simbench --tier` selects which to run (default "pr"). *)
 
 type entry = { id : string; tier : string; config : Runtime.Config.t }
 

@@ -10,12 +10,13 @@
 type entry = { id : string; tier : string; config : Runtime.Config.t }
 
 val builtin : entry list
-(** Two tiers. ["pr"]: ~12 small configurations, {debra, token} ×
-    batch/amortized free × {list, skiplist, occtree} × {1, 8, 32}
-    simulated threads — the per-PR gate. ["paper"]: 24 paper-scale
-    configurations — the ABtree at 192 threads on the 4-socket Xeon
-    topology, all six allocator models × {debra, token} × batch/AF —
-    gated on a schedule. *)
+(** Two tiers, both gated on every PR. ["pr"]: 20 small configurations
+    spanning {debra, token, hazard} × batch/amortized free × {list,
+    skiplist, occtree} at 1, 8 or 32 simulated threads, four of them with
+    thread churn.
+    ["paper"]: 36 paper-scale configurations — the ABtree at 192 threads
+    on the 4-socket Xeon topology, all six allocator models × {debra,
+    token, hazard} × batch/AF. *)
 
 val default_tier : string
 (** ["pr"], the tier commands select when none is named. *)

@@ -166,13 +166,17 @@ let churn_of_spec spec =
       | _ -> fail ())
   | _ -> fail ()
 
-(* The one validity check of a config. A run needs at least one thread,
-   key, virtual ns of window and trial; with none it crashes deep inside
-   the simulator or reports a throughput over an empty window. A churn
-   plan must name a real thread or socket and no time before the start of
-   the measured window. Otherwise it would silently retire nobody, the
-   wrong threads, or everyone. Manifests ([of_json]), the CLI and
-   [churn_schedule] all go through here. *)
+(* The one validity check of a config. The data structure, reclaimer and
+   allocator must be registered names; an unknown one would otherwise
+   escape as an exception from the registry's [make]. A run needs at
+   least one thread, key, virtual ns of window and trial; with none it
+   crashes deep inside the simulator or reports a throughput over an empty
+   window. Amortized freeing needs [af_drain >= 1], or it frees nothing
+   and garbage grows for the whole trial. A churn plan must name a real
+   thread or socket and no time before the start of the measured window.
+   Otherwise it would silently retire nobody, the wrong threads, or
+   everyone. Manifests ([of_json]), the CLI and [churn_schedule] all go
+   through here. *)
 let check cfg =
   let negative field v =
     if v < 0 then Some (Printf.sprintf "%s %d is negative; it must be >= 0" field v) else None
@@ -201,15 +205,27 @@ let check cfg =
   let below_one field v =
     if v < 1 then Some (Printf.sprintf "%s %d is out of range; it must be >= 1" field v) else None
   in
-  let range =
+  let unknown ?(hint = "") field v ~base names =
+    if List.mem base names then None
+    else
+      Some
+        (Printf.sprintf "%s %S is unknown; valid names: %s%s" field v (String.concat ", " names)
+           hint)
+  in
+  let fields =
     [
+      unknown "ds" cfg.ds ~base:cfg.ds Ds.Ds_registry.names;
+      unknown "smr" cfg.smr ~base:(fst (Smr.Smr_registry.parse cfg.smr)) Smr.Smr_registry.names
+        ~hint:" (each also with an _af suffix)";
+      unknown "alloc" cfg.alloc ~base:cfg.alloc Alloc.Registry.names;
       below_one "threads" cfg.threads;
       below_one "key_range" cfg.key_range;
       below_one "duration_ns" cfg.duration_ns;
       below_one "trials" cfg.trials;
+      below_one "af_drain" cfg.af_drain;
     ]
   in
-  match (List.find_map Fun.id range, cfg.churn) with
+  match (List.find_map Fun.id fields, cfg.churn) with
   | Some msg, _ -> Error msg
   | None, None -> Ok ()
   | None, Some plan -> (

@@ -69,9 +69,13 @@ val churn_of_spec : string -> churn
     @raise Failure on a malformed spec, quoting the grammar. *)
 
 val check : t -> (unit, string) result
-(** The one validity check of a config. [threads], [key_range],
-    [duration_ns] and [trials] must be [>= 1]; the [Error] starts with the
-    field's name, then its value. Then the churn plan, if any, is checked
+(** The one validity check of a config. [ds], [smr] (after
+    {!Smr.Smr_registry.parse} strips an ["_af"] suffix) and [alloc] must be
+    registered names ({!Ds.Ds_registry.names}, {!Smr.Smr_registry.names},
+    {!Alloc.Registry.names}); [threads], [key_range], [duration_ns],
+    [trials] and [af_drain] must be [>= 1]. The [Error] starts with the
+    field's name, then its value, and an unknown name's [Error] lists the
+    valid names. Then the churn plan, if any, is checked
     against the run: [first_ns], [every_ns] and [at_ns] must be [>= 0], a
     resize's [keep] must lie in [\[0, threads)] and a failover's [socket]
     in [\[0, sockets)] of the machine; the [Error] names the plan, the

@@ -66,5 +66,4 @@ val of_json : Json.t -> t
 val digest : t -> string
 (** Hex digest of the canonical serialization of the full metrics record.
     Equal configs and seeds must produce equal digests (the simulator's
-    determinism contract); the [simbench check --exact] gate enforces
-    this. *)
+    determinism contract); [simbench check] enforces this. *)

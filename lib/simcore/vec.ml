@@ -64,7 +64,6 @@ let append dst src =
   dst.len <- dst.len + src.len
 
 let to_list v = List.init v.len (fun i -> v.data.(i))
-let to_array v = Array.sub v.data 0 v.len
 
 let of_list l =
   let v = create ~capacity:(max 1 (List.length l)) () in

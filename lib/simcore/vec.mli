@@ -44,7 +44,6 @@ val append : t -> t -> unit
 (** [append dst src] appends all of [src] to [dst]; [src] is unchanged. *)
 
 val to_list : t -> int list
-val to_array : t -> int array
 val of_list : int list -> t
 
 val take_last : t -> int -> int array

@@ -49,14 +49,6 @@ let attach_reclaim t (th : Sched.thread) =
   th.Sched.hooks.Sched.on_epoch_advance <-
     (fun ~time ~epoch -> record_dot t ~tid ~time ~value:epoch)
 
-(* As above but boxes are individual free calls (paper Fig 3 / Fig 17). *)
-let attach_free_calls t (th : Sched.thread) =
-  let tid = th.Sched.tid in
-  th.Sched.hooks.Sched.on_free_call <-
-    (fun ~start ~stop -> record_event t ~tid ~start ~stop ~value:1);
-  th.Sched.hooks.Sched.on_epoch_advance <-
-    (fun ~time ~epoch -> record_dot t ~tid ~time ~value:epoch)
-
 let n_threads t = t.n
 
 let events t tid = Vec.Poly.to_list t.events.(tid)

@@ -23,9 +23,6 @@ val record_dot : t -> tid:int -> time:int -> value:int -> unit
 val attach_reclaim : t -> Simcore.Sched.thread -> unit
 (** Install hooks: reclamation events become boxes, epoch advances dots. *)
 
-val attach_free_calls : t -> Simcore.Sched.thread -> unit
-(** As above, with individual free calls as boxes (Figs 3, 17). *)
-
 val n_threads : t -> int
 
 val events : t -> int -> event list

@@ -249,51 +249,3 @@ let pp ppf p =
       p.locks
   end;
   Fmt.pf ppf "@]"
-
-let to_json p =
-  Json.Assoc
-    [
-      ("threads", Json.Int p.threads);
-      ("dropped", Json.Int p.dropped);
-      ("total_ns", Json.Int p.total_ns);
-      ("free_ns", Json.Int p.free_ns);
-      ("flush_ns", Json.Int p.flush_ns);
-      ("lock_ns", Json.Int p.lock_ns);
-      ("pct_free", Json.Float p.pct_free);
-      ("pct_flush", Json.Float p.pct_flush);
-      ("pct_lock", Json.Float p.pct_lock);
-      ("frees", Json.Int p.frees);
-      ("flushes", Json.Int p.flushes);
-      ("remote_frees", Json.Int p.remote_frees);
-      ("epochs", Json.Int p.epochs);
-      ("splices", Json.Int p.splices);
-      ("reclaims", Json.Int p.reclaims);
-      ("reclaimed", Json.Int p.reclaimed);
-      ("af_drained", Json.Int p.af_drained);
-      ("yields", Json.Int p.yields);
-      ("elided_yields", Json.Int p.elided_yields);
-      ("hp_scans", Json.Int p.hp_scans);
-      ("hp_scan_ns", Json.Int p.hp_scan_ns);
-      ("hp_freed", Json.Int p.hp_freed);
-      ("hp_protect_retries", Json.Int p.hp_protect_retries);
-      ("thread_spawns", Json.Int p.thread_spawns);
-      ("thread_retires", Json.Int p.thread_retires);
-      ("teardown_frees", Json.Int p.teardown_frees);
-      ("teardown_ns", Json.Int p.teardown_ns);
-      ("max_epoch_gap_ns", Json.Int p.max_epoch_gap_ns);
-      ("peak_epoch_garbage", Json.Int p.peak_epoch_garbage);
-      ( "locks",
-        Json.List
-          (List.map
-             (fun l ->
-               Json.Assoc
-                 [
-                   ("name", Json.String l.lock_name);
-                   ("acquires", Json.Int l.acquires);
-                   ("contended", Json.Int l.contended);
-                   ("wait_ns", Json.Int l.wait_ns);
-                   ("overhead_ns", Json.Int l.overhead_ns);
-                   ("hold_ns", Json.Int l.hold_ns);
-                 ])
-             p.locks) );
-    ]

@@ -62,5 +62,3 @@ val of_tracer : Simcore.Tracer.t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable report in the style of a [perf report] summary. *)
-
-val to_json : t -> Json.t

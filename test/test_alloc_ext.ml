@@ -77,7 +77,7 @@ let test_registry_variants () =
           let a = Alloc.Registry.make name sched in
           let h = a.Alloc.Alloc_intf.malloc th 64 in
           a.Alloc.Alloc_intf.free th h)
-        [ "jemalloc-ba"; "jemalloc-pool"; "jeba"; "jepool" ])
+        [ "jemalloc-ba"; "jemalloc-pool" ])
 
 let suite =
   ( "alloc_ext",

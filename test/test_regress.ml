@@ -1,6 +1,6 @@
 (* The regression harness: canonical JSON, Trial/Config serialization, the
-   digest determinism invariant, tolerance-gate logic, and graceful failure
-   on corrupt or missing baseline files. *)
+   digest determinism invariant, the gate's seed, digest and safety checks,
+   and graceful failure on corrupt or missing baseline files. *)
 
 let small =
   {
@@ -105,32 +105,59 @@ let test_config_rejects_unknown_field () =
   | Ok _ -> Alcotest.fail "accepted a typo'd field"
   | Error msg -> Alcotest.(check bool) "names the field" true (Helpers.contains msg "treads")
 
+(* A config or a suite entry the run cannot honour is refused, and the
+   [Error] names what it refuses: [named] must appear in the message. *)
+let refused ~named what = function
+  | Ok _ -> Alcotest.failf "%s accepted %s" what named
+  | Error msg ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %S names %S" what msg named) true
+        (Helpers.contains msg named)
+
+(* Both paths a config takes in: [Config.of_json], and a suite manifest
+   entry, whose error also names the entry. *)
+let refused_both ~named field v =
+  refused ~named "config" (Runtime.Config.of_json (Json.Assoc [ (field, v) ]));
+  let manifest =
+    Regress.Suite.of_manifest
+      (Json.Assoc
+         [
+           ("schema_version", Json.Int Regress.Suite.schema_version);
+           ("entries", Json.List [ Json.Assoc [ ("id", Json.String "e"); (field, v) ] ]);
+         ])
+  in
+  refused ~named "manifest" manifest;
+  refused ~named:"entry \"e\"" "manifest" manifest
+
 (* A run needs at least one thread, key, virtual ns of window and trial.
    With fewer it crashes inside the simulator or reports a throughput over
-   an empty window, so a config or a suite entry asking for fewer is
-   refused, naming the field and its value. *)
+   an empty window; amortized freeing with [af_drain] below one frees
+   nothing. A config or a suite entry asking for fewer is refused, naming
+   the field and its value. *)
 let config_rejects_below_one field () =
   List.iter
-    (fun v ->
-      let named = Printf.sprintf "%s %d" field v in
-      let refused what = function
-        | Ok _ -> Alcotest.failf "%s accepted %s" what named
-        | Error msg ->
-            Alcotest.(check bool) (Printf.sprintf "%s: %S names %S" what msg named) true
-              (Helpers.contains msg named)
-      in
-      refused "config" (Runtime.Config.of_json (Json.Assoc [ (field, Json.Int v) ]));
-      refused "manifest"
-        (Regress.Suite.of_manifest
-           (Json.Assoc
-              [
-                ("schema_version", Json.Int Regress.Suite.schema_version);
-                ("entries", Json.List [ Json.Assoc [ ("id", Json.String "e"); (field, Json.Int v) ] ]);
-              ])))
+    (fun v -> refused_both ~named:(Printf.sprintf "%s %d" field v) field (Json.Int v))
     [ 0; -3 ]
 
+(* An unknown data structure, reclaimer or allocator, an old alias
+   among them, is refused with the valid names before any trial starts,
+   not left to the registry's [make] to raise mid-run. *)
+let test_config_rejects_unknown_names () =
+  List.iter
+    (fun (field, v) ->
+      refused_both ~named:(Printf.sprintf "%s %S" field v) field (Json.String v);
+      refused ~named:"valid names: " "config"
+        (Runtime.Config.of_json (Json.Assoc [ (field, Json.String v) ])))
+    [
+      ("ds", "nosuch");
+      ("ds", "ll");
+      ("smr", "nosuch");
+      ("smr", "nosuch_af");
+      ("alloc", "nosuch");
+      ("alloc", "je");
+    ]
+
 let test_config_accepts_one () =
-  let fields = [ "threads"; "key_range"; "duration_ns"; "trials" ] in
+  let fields = [ "threads"; "key_range"; "duration_ns"; "trials"; "af_drain" ] in
   match Runtime.Config.of_json (Json.Assoc (List.map (fun f -> (f, Json.Int 1)) fields)) with
   | Error msg -> Alcotest.fail msg
   | Ok cfg ->
@@ -192,54 +219,16 @@ let with_metric name v (r : Regress.Baseline.result) =
       List.map (fun (k, old) -> (k, if k = name then v else old)) r.Regress.Baseline.metrics;
   }
 
-let test_perf_gate_tolerances () =
-  let tol =
-    { Regress.Baseline.max_throughput_drop = 0.20; max_garbage_rise = 0.50; garbage_slack = 10 }
-  in
-  let base = Regress.Baseline.with_tolerance tol (result_of small) in
-  let throughput =
-    match Regress.Baseline.metric base "throughput" with Some v -> v | None -> 0.
-  in
-  (* Within tolerance: a 10% throughput drop passes. *)
-  let ok_run = with_metric "throughput" (Json.Float (throughput *. 0.9)) base in
-  Alcotest.(check bool) "10% drop passes a 20% gate" true
-    (Regress.Gate.all_ok (Regress.Gate.perf ~expected:base ~got:ok_run));
-  (* Beyond tolerance: a 30% drop fails, and the finding names the metric. *)
-  let bad_run = with_metric "throughput" (Json.Float (throughput *. 0.7)) base in
-  let findings = Regress.Gate.perf ~expected:base ~got:bad_run in
-  Alcotest.(check bool) "30% drop fails a 20% gate" false (Regress.Gate.all_ok findings);
-  Alcotest.(check bool) "throughput finding failed" true
-    (List.exists (fun f -> f.Regress.Gate.metric = "throughput" && not f.Regress.Gate.ok) findings);
-  (* Garbage: ceiling is base*(1+rise)+slack. *)
-  let garbage =
-    match Regress.Baseline.metric base "peak_epoch_garbage" with Some v -> v | None -> 0.
-  in
-  let bad_garbage =
-    with_metric "peak_epoch_garbage" (Json.Float ((garbage *. 1.5) +. 11.)) base
-  in
-  Alcotest.(check bool) "garbage above ceiling fails" false
-    (Regress.Gate.all_ok (Regress.Gate.perf ~expected:base ~got:bad_garbage));
-  (* Throughput gains are always fine. *)
-  let faster = with_metric "throughput" (Json.Float (throughput *. 2.)) base in
-  Alcotest.(check bool) "gains pass" true
-    (Regress.Gate.all_ok (Regress.Gate.perf ~expected:base ~got:faster))
-
-let test_perf_gate_rejects_violations () =
-  let base = result_of small in
-  let bad = with_metric "violations" (Json.Int 3) base in
-  let findings = Regress.Gate.perf ~expected:base ~got:bad in
-  Alcotest.(check bool) "violations fail the perf gate" false (Regress.Gate.all_ok findings)
-
-let test_derive_tolerance () =
-  let results = List.map (fun seed -> result_of ~seed { small with Runtime.Config.seed = seed }) [ 7; 8; 9 ] in
-  let tol = Regress.Baseline.derive_tolerance results in
-  Alcotest.(check bool) "throughput tolerance within clamps" true
-    (tol.Regress.Baseline.max_throughput_drop >= 0.15
-    && tol.Regress.Baseline.max_throughput_drop <= 0.50);
-  let single = Regress.Baseline.derive_tolerance [ List.hd results ] in
-  Alcotest.(check (float 0.)) "single seed falls back to default"
-    Regress.Baseline.default_tolerance.Regress.Baseline.max_throughput_drop
-    single.Regress.Baseline.max_throughput_drop
+(* Safety is a property of the run, not of its baseline: equal digests do
+   not excuse grace-period violations. *)
+let test_exact_gate_rejects_violations () =
+  let bad = with_metric "violations" (Json.Int 3) (result_of small) in
+  let findings = Regress.Gate.exact ~expected:bad ~got:bad in
+  Alcotest.(check bool) "violations fail the gate" false (Regress.Gate.all_ok findings);
+  Alcotest.(check bool) "violations finding present" true
+    (List.exists
+       (fun f -> f.Regress.Gate.metric = "violations" && not f.Regress.Gate.ok)
+       findings)
 
 (* --- Baseline files ----------------------------------------------------- *)
 
@@ -251,15 +240,12 @@ let temp_dir () =
 
 let test_baseline_file_round_trip () =
   let dir = temp_dir () in
-  let r =
-    Regress.Baseline.with_tolerance Regress.Baseline.default_tolerance (result_of ~id:"rt" small)
-  in
+  let r = result_of ~id:"rt" small in
   Regress.Baseline.save ~dir r;
   (match Regress.Baseline.load ~dir "rt" with
   | Ok r' ->
       Alcotest.(check string) "digest survives" r.Regress.Baseline.digest r'.Regress.Baseline.digest;
       Alcotest.(check int) "seed survives" r.Regress.Baseline.seed r'.Regress.Baseline.seed;
-      Alcotest.(check bool) "tolerance survives" true (r'.Regress.Baseline.tolerance <> None);
       Alcotest.(check bool) "metrics survive" true
         (r.Regress.Baseline.metrics = r'.Regress.Baseline.metrics)
   | Error msg -> Alcotest.fail msg);
@@ -306,14 +292,14 @@ let suite =
       Helpers.quick "config_rejects_key_range_below_1" (config_rejects_below_one "key_range");
       Helpers.quick "config_rejects_duration_ns_below_1" (config_rejects_below_one "duration_ns");
       Helpers.quick "config_rejects_trials_below_1" (config_rejects_below_one "trials");
+      Helpers.quick "config_rejects_af_drain_below_1" (config_rejects_below_one "af_drain");
+      Helpers.quick "config_rejects_unknown_names" test_config_rejects_unknown_names;
       Helpers.quick "config_accepts_1_for_each_field" test_config_accepts_one;
       Helpers.quick "suite_manifest_round_trip" test_suite_manifest_round_trip;
       Helpers.quick "suite_covers_paper_axes" test_suite_covers_paper_axes;
       Helpers.quick "exact_gate_pass_and_fail" test_exact_gate_pass_and_fail;
       Helpers.quick "exact_gate_flags_seed_mismatch" test_exact_gate_flags_seed_mismatch;
-      Helpers.quick "perf_gate_tolerances" test_perf_gate_tolerances;
-      Helpers.quick "perf_gate_rejects_violations" test_perf_gate_rejects_violations;
-      Helpers.quick "derive_tolerance" test_derive_tolerance;
+      Helpers.quick "exact_gate_rejects_violations" test_exact_gate_rejects_violations;
       Helpers.quick "baseline_file_round_trip" test_baseline_file_round_trip;
       Helpers.quick "baseline_missing_and_corrupt" test_baseline_missing_and_corrupt;
     ] )

@@ -196,6 +196,39 @@ let test_cross_hp_counters () =
   | [] -> ()
   | v :: _ -> Alcotest.fail (Format.asprintf "validator violation: %a" Smr.Safety.pp_violation v)
 
+(* --- retires, for every reclaimer -------------------------------------- *)
+
+(* Every registered reclaimer counts a retire in [metrics.retires] and
+   traces it as a [Retire] instant: 4 threads x 200 retires each, raw, so
+   the property does not depend on what a data structure retires. *)
+let test_cross_retires_every_reclaimer () =
+  List.iter
+    (fun name ->
+      let ctx, sched = Helpers.make_ctx ~n:4 () in
+      let tracer = Tracer.create () in
+      Sched.set_tracer sched tracer;
+      let smr = Smr.Smr_registry.make name ctx in
+      Array.iter
+        (fun (th : Sched.thread) ->
+          Sched.spawn sched th (fun th ->
+              for _ = 1 to 200 do
+                smr.Smr.Smr_intf.begin_op th;
+                smr.Smr.Smr_intf.retire th (ctx.Smr.Smr_intf.alloc.Alloc.Alloc_intf.malloc th 64);
+                smr.Smr.Smr_intf.end_op th;
+                Sched.checkpoint th
+              done))
+        (Sched.threads sched);
+      Sched.run sched;
+      let retires =
+        Array.fold_left (fun acc th -> acc + th.Sched.metrics.Metrics.retires) 0
+          (Sched.threads sched)
+      in
+      let traced = ref 0 in
+      Tracer.iter tracer (fun e -> if e.Tracer.kind = Tracer.Retire then incr traced);
+      Alcotest.(check int) (name ^ ": retires counted") 800 retires;
+      Alcotest.(check int) (name ^ ": retires traced") retires !traced)
+    Smr.Smr_registry.names
+
 (* --- recorder unit behaviour ----------------------------------------- *)
 
 let all_kinds =
@@ -354,6 +387,7 @@ let suite =
       Helpers.quick "tracing_is_invisible" test_tracing_is_invisible;
       Helpers.quick "cross_yield_counters" test_cross_yield_counters;
       Helpers.quick "cross_hp_counters" test_cross_hp_counters;
+      Helpers.quick "cross_retires_every_reclaimer" test_cross_retires_every_reclaimer;
       Helpers.quick "kind_codes_roundtrip" test_kind_codes_roundtrip;
       Helpers.quick "disabled_records_nothing" test_disabled_records_nothing;
       Helpers.quick "negative_duration_rejected" test_negative_duration_rejected;
