@@ -63,7 +63,7 @@ let jobs_arg =
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Domains to fan independent trials out over. Defaults to \\$(b,EPOCHS_JOBS) when set, \
+          "Domains to fan independent trials out over. Defaults to $(b,EPOCHS_JOBS) when set, \
            else the recommended domain count. Results are bit-identical to a sequential run.")
 
 let trace_arg =
@@ -103,6 +103,7 @@ let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_job
 (* Report a bad command line and exit 2, as cmdliner does for its own
    usage errors — never with an uncaught exception. *)
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("epochs: " ^ msg); exit 2) fmt
+let check_out ~flag path = Result.iter_error (die "%s") (Runtime.Out_path.check ~flag path)
 
 let config ?churn ?(smr_flag = "--smr") ds smr alloc threads machine keys duration trials seed
     validate timeline af_drain zipf =
@@ -232,6 +233,8 @@ let run_cmd =
     | _ -> ());
     if trace_capacity < 1 then
       die "--trace-capacity %d is out of range; it must be >= 1" trace_capacity;
+    Option.iter (check_out ~flag:"--trace") trace;
+    Option.iter (check_out ~flag:"--svg") svg;
     let cfg =
       config ?churn ds smr alloc threads machine keys duration trials seed validate timeline
         af_drain zipf

@@ -44,7 +44,7 @@ let jobs_arg =
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Domains to fan entries out over. Defaults to \\$(b,EPOCHS_JOBS) when set, else the \
+          "Domains to fan entries out over. Defaults to $(b,EPOCHS_JOBS) when set, else the \
            recommended domain count. Parallelism is bit-identical to sequential execution: it \
            changes nothing but wall-clock time.")
 
@@ -77,6 +77,8 @@ let only_arg =
 let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_jobs ()
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+let check_out ?dir ~flag path =
+  Result.iter_error (die "simbench: %s") (Runtime.Out_path.check ?dir ~flag path)
 
 let select_entries ~tier ~only entries =
   match only with
@@ -180,6 +182,8 @@ let run_suite ?trace_dir ~jobs entries =
 let run_cmd =
   let run suite out jobs trace_dir tier only =
     let jobs = resolve_jobs jobs in
+    check_out ~flag:"--out" out;
+    Option.iter (check_out ~dir:true ~flag:"--trace") trace_dir;
     (match trace_dir with
     | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
     | _ -> ());
@@ -201,6 +205,7 @@ let run_cmd =
 let check_cmd =
   let run suite baselines out jobs tier only =
     let jobs = resolve_jobs jobs in
+    check_out ~flag:"--out" out;
     let entries, suite_label = load_suite suite in
     let entries = select_entries ~tier ~only entries in
     let results = run_suite ~jobs entries in

@@ -19,6 +19,8 @@
 open Cmdliner
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+let check_out ?dir ~flag path =
+  Result.iter_error (die "simcheck: %s") (Runtime.Out_path.check ?dir ~flag path)
 
 let scenario_arg =
   Arg.(
@@ -47,7 +49,7 @@ let jobs_arg =
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Domains to fan schedules out over. Defaults to \\$(b,EPOCHS_JOBS) when set, else \
+          "Domains to fan schedules out over. Defaults to $(b,EPOCHS_JOBS) when set, else \
            the recommended domain count. Exploration reports are bit-identical to sequential \
            runs: parallelism changes nothing but wall-clock time.")
 
@@ -139,6 +141,7 @@ let run_cmd =
   let run scenario strategy budget seed jobs mutant_name trace_dir max_traces no_shrink =
     if budget < 1 then die "simcheck: --budget must be at least 1 (got %d)" budget;
     if max_traces < 0 then die "simcheck: --max-traces must not be negative (got %d)" max_traces;
+    check_out ~dir:true ~flag:"--trace-dir" trace_dir;
     let jobs = resolve_jobs jobs in
     let scenarios = resolve_scenarios scenario in
     let strategies = resolve_strategies strategy in
@@ -199,6 +202,7 @@ let replay_cmd =
              perturbs the replay: the outcome digest is unchanged.")
   in
   let run file event_trace =
+    Option.iter (check_out ~flag:"--trace") event_trace;
     let t = load_trace file in
     let sc = scenario_of_trace t in
     let tracer =
@@ -237,6 +241,7 @@ let shrink_cmd =
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output path (defaults to the input, in place).")
   in
   let run file out =
+    Option.iter (check_out ~flag:"--out") out;
     let t = load_trace file in
     let sc = scenario_of_trace t in
     let before = List.length t.Check.Trace.decisions in
@@ -315,6 +320,7 @@ let selftest_matrix =
 
 let selftest_cmd =
   let run jobs seed trace_dir =
+    check_out ~dir:true ~flag:"--trace-dir" trace_dir;
     let jobs = resolve_jobs jobs in
     let failures = ref 0 in
     List.iter

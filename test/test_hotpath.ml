@@ -332,13 +332,16 @@ let minor_words_per ~n f =
   let m2 = Gc.minor_words () in
   (m2 -. m1 -. (m1 -. m0)) /. float_of_int n
 
-(* ABtree operations at steady state, on a tree half full of 65,536 keys
-   whose retired leaves are freed at once. A descent allocates nothing and
-   a leaf is updated in place, so [contains] allocates only its 3-word
-   [op_result], and an update adds little more, averaged over the splits
-   and merges it causes. The copy-on-write tree allocated 36, 46 and 44
-   words per contains, insert and delete here. *)
-let test_abtree_minor_words () =
+(* Operations of structure [ds] at steady state, on a set half full of
+   [key_range] keys whose retired nodes are freed at once, against a limit
+   in minor words per contains, insert and delete. The ABtree's descent
+   allocates nothing and its leaves are updated in place, so [contains]
+   allocates only its 3-word [op_result] (the copy-on-write tree allocated
+   36, 46 and 44 words per contains, insert and delete over 65,536 keys).
+   The skiplist's search fills a per-thread predecessor scratch, so an
+   update adds only the inserted tower (its option links and per-search
+   array allocated 24, 29 and 24 words over 4,096 keys). *)
+let check_minor_words ds ~key_range (l_contains, l_insert, l_delete) () =
   let sched = Helpers.make_sched ~n:1 () in
   let alloc = Alloc.Registry.make "jemalloc" sched in
   let ctx =
@@ -346,14 +349,14 @@ let test_abtree_minor_words () =
   in
   let per_op = ref [] in
   Sched.spawn sched (Sched.thread sched 0) (fun th ->
-      let ds = Ds.Abtree.make ctx th in
-      let key_range = 1 lsl 16 and n = 4_000 in
+      let ds = Ds.Ds_registry.make ds ctx th in
+      let n = 4_000 in
       let rng = Rng.create 42 in
       while ds.Ds.Ds_intf.size () < key_range / 2 do
         ignore (ds.Ds.Ds_intf.insert th (Rng.int_below rng key_range))
       done;
       (* Fresh uniform keys for each pass, so about half of the updates
-         change the tree and its occupancy stays near half. *)
+         change the set and its occupancy stays near half. *)
       let keys () = Array.init n (fun _ -> Rng.int_below rng key_range) in
       let run op keys () =
         for i = 0 to n - 1 do
@@ -372,13 +375,15 @@ let test_abtree_minor_words () =
           let contains = minor_words_per ~n (run ds.Ds.Ds_intf.contains lookups) in
           let insert = minor_words_per ~n (run ds.Ds.Ds_intf.insert inserts) in
           let delete = minor_words_per ~n (run ds.Ds.Ds_intf.delete deletes) in
-          per_op := [ ("contains", 3., contains); ("insert", 6., insert); ("delete", 6., delete) ]));
+          per_op :=
+            [ ("contains", l_contains, contains); ("insert", l_insert, insert);
+              ("delete", l_delete, delete) ]));
   Sched.run sched;
   Alcotest.(check int) "three probes" 3 (List.length !per_op);
   List.iter
     (fun (op, limit, words) ->
       if words > limit then
-        Alcotest.failf "abtree %s: %.3f minor words per operation (limit %.0f)" op words limit)
+        Alcotest.failf "%s %s: %.3f minor words per operation (limit %.0f)" ds op words limit)
     !per_op
 
 (* A draw updates the generator state in place: [int_below] and [bool]
@@ -413,6 +418,9 @@ let suite =
       Helpers.quick "yield_minor_words" test_yield_minor_words;
       Helpers.quick "digest_stability" test_digest_stability;
       Helpers.quick "abtree_digest_stability" test_abtree_digest_stability;
-      Helpers.quick "abtree_minor_words" test_abtree_minor_words;
+      Helpers.quick "abtree_minor_words"
+        (check_minor_words "abtree" ~key_range:(1 lsl 16) (3., 6., 6.));
+      Helpers.quick "skiplist_minor_words"
+        (check_minor_words "skiplist" ~key_range:(1 lsl 12) (3., 8., 3.));
       Helpers.quick "rng_draw_minor_words" test_rng_draw_minor_words;
     ] )

@@ -134,6 +134,30 @@ let test_throughput_summary () =
   Alcotest.(check bool) "mean between min and max" true
     (s.Runtime.Trial.min <= s.Runtime.Trial.mean && s.Runtime.Trial.mean <= s.Runtime.Trial.max)
 
+(* An output path is refused, naming the flag and the fault, when its
+   directory is missing or is a file, and a directory output when it is a
+   file itself. *)
+let test_out_path_check () =
+  let file = Filename.temp_file "out_path" "" in
+  let check ?dir path = Runtime.Out_path.check ?dir ~flag:"--out" path in
+  let expect_error what ?dir path needle =
+    match check ?dir path with
+    | Ok () -> Alcotest.failf "%s: %s accepted" what path
+    | Error msg ->
+        List.iter
+          (fun s ->
+            if not (Helpers.contains msg s) then Alcotest.failf "%s: %S lacks %S" what msg s)
+          [ "--out"; needle ]
+  in
+  Alcotest.(check bool) "file in cwd" true (check "x.json" = Ok ());
+  Alcotest.(check bool) "existing directory as a directory output" true
+    (check ~dir:true (Filename.get_temp_dir_name ()) = Ok ());
+  expect_error "missing directory" (Filename.concat (Filename.concat file "sub") "x.json")
+    "does not exist";
+  expect_error "file as a directory" (Filename.concat file "x.json") "is not a directory";
+  expect_error "file as a directory output" ~dir:true file "not a directory";
+  Sys.remove file
+
 let suite =
   ( "runtime",
     [
@@ -142,6 +166,7 @@ let suite =
       Helpers.quick "determinism" test_determinism;
       Helpers.quick "seed_sensitivity" test_seed_sensitivity;
       Helpers.quick "trials_use_distinct_seeds" test_trials_use_distinct_seeds;
+      Helpers.quick "out_path_check" test_out_path_check;
     ]
     @ List.map smoke_reclaimer
         [ "debra"; "debra_af"; "qsbr"; "token"; "token_af"; "token-naive"; "token-passfirst";
