@@ -64,11 +64,12 @@ trace-smoke:
 # in all). A run exits non-zero when a trial failed — a grace-period
 # violation, or a digest at seed 42 that differs from regress/baselines/ —
 # so this gates the paper-tier entries the benchmark runs on every change,
-# not only in the scheduled paper-scale job. One traced run of the n192
-# control workload (~20 s) also fails when a traced digest differs from the
-# untraced one or the trace ring drops events, and it runs the per-layer
-# micro-benchmarks, the event-queue dispatch micro among them. Timings are
-# gated by perf-gate.
+# not only in the scheduled paper-scale job. Two traced runs, of the n192
+# control workload (~20 s) and of pr-32 (~15 s; the OCC tree and the
+# skiplist under DEBRA, hazard pointers and Token-EBR), also fail when a
+# traced digest differs from the untraced one or the trace ring drops
+# events, and they run the per-layer micro-benchmarks, the event-queue
+# dispatch micro among them. Timings are gated by perf-gate.
 PERF_WORKLOADS = $(shell sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)
 perf-smoke:
 	@test -n "$(PERF_WORKLOADS)" || { echo "perf-smoke: no workloads in BENCHMARK.json"; exit 1; }
@@ -76,8 +77,10 @@ perf-smoke:
 		echo "perf-smoke: $$w"; \
 		dune exec perf/main.exe -- run --workload $$w --seconds 1 || exit 1; \
 	done
-	@echo "perf-smoke: leak-token-192 traced"
-	dune exec perf/main.exe -- run --workload leak-token-192 --seconds 1 --trace 1
+	@for w in leak-token-192 pr-32; do \
+		echo "perf-smoke: $$w traced"; \
+		dune exec perf/main.exe -- run --workload $$w --seconds 1 --trace 1 || exit 1; \
+	done
 
 # Host-time gate: `perf/main.exe compare` of the parent commit against the
 # working tree, 3 alternating parent/change pairs of 1 s runs on every

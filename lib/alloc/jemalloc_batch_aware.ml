@@ -66,7 +66,7 @@ let drain_pending t (th : Sched.thread) cls =
     let tr = Sched.tracer th.Sched.sched in
     let t0 = Sched.now th in
     th.Sched.in_flush <- true;
-    let n_drain = min t.chunk (Vec.length pending) in
+    let n_drain = Int.min t.chunk (Vec.length pending) in
     Tracer.flush_begin tr ~tid:th.Sched.tid ~ts:t0 ~a:n_drain;
     let g = t.groupers.(th.Sched.tid) in
     Alloc_intf.Grouper.group g t.table pending ~len:n_drain;
@@ -138,7 +138,7 @@ let raw_free t (th : Sched.thread) h =
        sits here, at the [flushes] counter, *outside* the [in_flush] drain
        below — this variant overflows without a synchronous flush. *)
     th.Sched.metrics.Metrics.flushes <- th.Sched.metrics.Metrics.flushes + 1;
-    let n_evict = min t.chunk (Vec.length tc) in
+    let n_evict = Int.min t.chunk (Vec.length tc) in
     (let tr = Sched.tracer th.Sched.sched in
      if Tracer.enabled tr then
        Tracer.instant tr Tracer.Overflow ~tid ~ts:(Sched.now th) ~a:n_evict ~b:cls);
@@ -158,7 +158,7 @@ let refill t (th : Sched.thread) cls =
   let t0 = Sched.now th in
   (* Reuse deferred evictions first: they are local and lock-free. *)
   let pending = t.pending.(tid).(cls) in
-  let from_pending = min t.config.refill_batch (Vec.length pending) in
+  let from_pending = Int.min t.config.refill_batch (Vec.length pending) in
   Sched.work_n th Metrics.Alloc ~per:t.cost.Cost_model.cache_pop ~count:from_pending;
   for _ = 1 to from_pending do
     Vec.push tc (Vec.pop pending)
@@ -167,7 +167,7 @@ let refill t (th : Sched.thread) cls =
     let arena = arena_of_thread t tid in
     let bin = t.bins.(arena).(cls) in
     Sim_mutex.lock bin.lock th;
-    let from_bin = min t.config.refill_batch (Vec.length bin.freelist) in
+    let from_bin = Int.min t.config.refill_batch (Vec.length bin.freelist) in
     Sched.work_n th Metrics.Alloc ~per:t.cost.Cost_model.refill_per_object ~count:from_bin;
     for _ = 1 to from_bin do
       Vec.push tc (Vec.pop bin.freelist)
@@ -184,7 +184,7 @@ let refill t (th : Sched.thread) cls =
     (* Page faults and first touches happen at use, outside the lock. *)
     if from_bin = 0 then begin
       let size = Size_class.bytes cls in
-      let per_page = max 1 (t.config.page_bytes / size) in
+      let per_page = Int.max 1 (t.config.page_bytes / size) in
       let missing = t.config.refill_batch in
       let pages = (missing + per_page - 1) / per_page in
       Sched.work th Metrics.Alloc (pages * t.cost.Cost_model.fresh_page);

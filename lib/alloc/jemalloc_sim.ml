@@ -60,7 +60,7 @@ let create ?(config = Alloc_intf.default_config) sched =
       narenas;
       bins = Array.init narenas (fun a -> Array.init Size_class.count (mk_bin a));
       tcache = Array.init n (fun _ -> Array.init Size_class.count (fun _ -> Vec.create ()));
-      flush_keep = max 1 (int_of_float (float_of_int config.tcache_cap *. (1. -. config.flush_fraction)));
+      flush_keep = Int.max 1 (int_of_float (float_of_int config.tcache_cap *. (1. -. config.flush_fraction)));
       groupers = Array.init n (fun _ -> Alloc_intf.Grouper.create ());
     }
   in
@@ -160,7 +160,7 @@ let refill t (th : Sched.thread) cls =
   let tr = Sched.tracer th.Sched.sched in
   let t0 = Sched.now th in
   Sim_mutex.lock bin.lock th;
-  let from_bin = min t.config.refill_batch (Vec.length bin.freelist) in
+  let from_bin = Int.min t.config.refill_batch (Vec.length bin.freelist) in
   Sched.work_n th Metrics.Alloc ~per:t.cost.Cost_model.refill_per_object ~count:from_bin;
   for _ = 1 to from_bin do
     Vec.push tc (Vec.pop bin.freelist)
@@ -179,7 +179,7 @@ let refill t (th : Sched.thread) cls =
   Sim_mutex.unlock bin.lock th;
   if missing > 0 then begin
     let size = Size_class.bytes cls in
-    let per_page = max 1 (t.config.page_bytes / size) in
+    let per_page = Int.max 1 (t.config.page_bytes / size) in
     let pages = (missing + per_page - 1) / per_page in
     Sched.work th Metrics.Alloc (pages * t.cost.Cost_model.fresh_page);
     Sched.work th Metrics.Alloc (missing * t.cost.Cost_model.fresh_object_touch)

@@ -13,7 +13,7 @@ let raw_malloc t (th : Sched.thread) size =
   let cls = Size_class.of_size size in
   let bytes = Size_class.bytes cls in
   (* Amortized page-fault cost for never-touched memory. *)
-  let per_page = max 1 (t.config.page_bytes / bytes) in
+  let per_page = Int.max 1 (t.config.page_bytes / bytes) in
   Sched.work th Metrics.Alloc
     (t.cost.Cost_model.refill_per_object + t.cost.Cost_model.fresh_object_touch
     + (t.cost.Cost_model.fresh_page / per_page));

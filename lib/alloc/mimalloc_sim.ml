@@ -70,7 +70,7 @@ let new_page t (th : Sched.thread) cls =
     }
   in
   if t.n_pages = Array.length t.pages then begin
-    let cap = max 64 (2 * Array.length t.pages) in
+    let cap = Int.max 64 (2 * Array.length t.pages) in
     let pages = Array.make cap p in
     Array.blit t.pages 0 pages 0 t.n_pages;
     t.pages <- pages
@@ -119,7 +119,7 @@ let collect t (th : Sched.thread) cls =
     let pid = Vec.pop slot.pending in
     let p = t.pages.(pid) in
     Sim_mutex.lock p.lock th;
-    Sched.work th Metrics.Alloc (t.cost.Cost_model.refill_per_object * max 1 (Vec.length p.xfree / 8));
+    Sched.work th Metrics.Alloc (t.cost.Cost_model.refill_per_object * Int.max 1 (Vec.length p.xfree / 8));
     Vec.append slot.alloc_list p.xfree;
     Vec.clear p.xfree;
     p.flagged <- false;
@@ -143,7 +143,7 @@ let raw_malloc t (th : Sched.thread) size =
     (* Fresh 64 KiB page, carved into objects of this class. *)
     let p = new_page t th cls in
     let bytes = Size_class.bytes cls in
-    let capacity = max 1 (t.page_bytes / bytes) in
+    let capacity = Int.max 1 (t.page_bytes / bytes) in
     Sched.work th Metrics.Alloc
       (((t.page_bytes / t.config.page_bytes) * t.cost.Cost_model.fresh_page)
       + (capacity * t.cost.Cost_model.fresh_object_touch));

@@ -52,7 +52,7 @@ let create ?(config = Alloc_intf.default_config) sched =
       Array.init Size_class.count (fun c ->
           { lock = Sim_mutex.create ~name:(lazy (Printf.sprintf "tc-central-%d" c)) (); freelist = Vec.create () });
     tcache = Array.init n (fun _ -> Array.init Size_class.count (fun _ -> Vec.create ()));
-    flush_keep = max 1 (int_of_float (float_of_int config.tcache_cap *. (1. -. config.flush_fraction)));
+    flush_keep = Int.max 1 (int_of_float (float_of_int config.tcache_cap *. (1. -. config.flush_fraction)));
   }
 
 let flush_down t (th : Sched.thread) cls ~keep =
@@ -116,7 +116,7 @@ let refill t (th : Sched.thread) cls =
   let tr = Sched.tracer th.Sched.sched in
   let t0 = Sched.now th in
   Sim_mutex.lock central.lock th;
-  let from_central = min t.config.refill_batch (Vec.length central.freelist) in
+  let from_central = Int.min t.config.refill_batch (Vec.length central.freelist) in
   Sched.work th Metrics.Alloc (splice_fixed + (from_central * splice_per_object));
   for _ = 1 to from_central do
     Vec.push tc (Vec.pop central.freelist)
@@ -135,7 +135,7 @@ let refill t (th : Sched.thread) cls =
      lock: only the free-list splice is under it. *)
   if missing > 0 then begin
     let size = Size_class.bytes cls in
-    let per_page = max 1 (t.config.page_bytes / size) in
+    let per_page = Int.max 1 (t.config.page_bytes / size) in
     let pages = (missing + per_page - 1) / per_page in
     Sched.work th Metrics.Alloc (pages * t.cost.Cost_model.fresh_page);
     Sched.work th Metrics.Alloc (missing * t.cost.Cost_model.fresh_object_touch)

@@ -72,7 +72,7 @@ let tick t (th : Sched.thread) =
   | Batch -> ()
   | Amortized k ->
       let fl = t.freeable.(th.Sched.tid) in
-      let n = min k (Vec.length fl) in
+      let n = Int.min k (Vec.length fl) in
       if n > 0 then begin
         let t0 = Sched.now th in
         for _ = 1 to n do

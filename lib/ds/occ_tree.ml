@@ -10,198 +10,206 @@
    remote-batch-free wall (paper Fig 1). Rebalancing is omitted: uniform
    random keys keep the expected depth logarithmic. *)
 
-open Simcore
-
 let node_bytes = 64
 
-(* Children are direct node references with a physical sentinel
-   ([dummy_node]) for "absent", not [node option]: a [Some] cell is a
-   separate heap block, so an option-typed child costs two dependent loads
-   per hop. The search loop below is the simulator's hottest code — a
-   pointer chase over a few thousand nodes — and halving its memory
-   touches is worth the null-object idiom.
+(* The nodes live in one [int array], the arena, and a node is the offset
+   of its first word there. A node is four words: [key], [left] and
+   [right] (the only words a descent reads), then [hp], the allocator
+   handle and the present bit ([(handle lsl 1) lor present]; present = 0
+   marks a routing node). Offset 0 is the absent node: a child or root of
+   0 means "none". The descent below is the simulator's hottest code, and
+   with int links neither it nor the path it records stores a pointer, so
+   it runs without a write barrier and the GC has no node graph to mark.
 
-   The node is packed to four words ([key], [left], [right] first — the
-   only fields the descent reads — then the handle and the present bit
-   sharing [hp]) so the per-node footprint, and with it the cache-miss
-   rate of the chase, stays minimal. *)
-type node = {
-  key : int;
-  mutable left : node;  (* [dummy_node] = no child *)
-  mutable right : node;
-  mutable hp : int;  (* (handle lsl 1) lor present; present=0 = routing *)
-}
+   A retired node's slot goes back to the free list (threaded through the
+   [hp] words) at once: the reclaimer protects the allocator handle, not
+   the slot, and every caller runs an operation inside an atomic section,
+   so no other operation holds an offset across it. For the same reason
+   one search scratch per tree suffices. *)
+let key_w = 0
+let left_w = 1
+let right_w = 2
+let hp_w = 3
+let words = 4
 
-let[@inline] node_present n = n.hp land 1 <> 0
-let[@inline] node_handle n = n.hp asr 1
-
-(* Reusable search path, so the O(depth) descent allocates nothing — at
-   tens of visited nodes per operation and millions of operations per
-   trial, a per-search path list is the simulator's single biggest
-   allocation source. The scratch is per *simulated thread*: [malloc] and
-   [retire] can yield (allocator lock waits), during which other threads
-   run complete operations of their own, but a thread never has two
-   operations of its own in flight. *)
-type scratch = {
-  mutable snodes : node array;  (* ancestors of the current op, root-first *)
-  mutable sdirs : bool array;  (* direction taken from each: true = left *)
-  mutable found : node;  (* [dummy_node] when the key was absent *)
-  mutable depth : int;
-  mutable visited : int;
-  mutable parent : node;  (* frontier search: last node on the path *)
-  mutable parent_left : bool;  (* direction taken from [parent] *)
-}
+(* Room for 4,095 nodes; a full arena doubles. *)
+let initial_words = 16_384
 
 type t = {
   ctx : Ds_intf.ctx;
-  mutable root : node;  (* [dummy_node] = empty tree *)
+  mutable a : int array;  (* the arena; words [0, 4) are the absent node *)
+  mutable top : int;  (* first word no node has used *)
+  mutable free : int;  (* free slots, linked through [hp]; 0 = none *)
+  mutable root : int;
   mutable size : int;
   mutable nodes : int;
-  mutable scratch : scratch option array;  (* indexed by simulated tid *)
+  (* The last search. [search] fills the path: the ancestors of the key,
+     root first, with the direction taken from each (true = left). *)
+  mutable path : int array;
+  mutable dirs : bool array;
+  mutable depth : int;
+  mutable found : int;  (* 0 when the key was absent *)
+  mutable visited : int;
+  mutable parent : int;  (* [search_frontier]: last node on the path *)
+  mutable parent_left : bool;  (* direction taken from [parent] *)
 }
 
-let rec dummy_node = { key = min_int; left = dummy_node; right = dummy_node; hp = -2 }
+let create ctx =
+  {
+    ctx; a = Array.make initial_words 0; top = words; free = 0; root = 0; size = 0; nodes = 0;
+    path = Array.make 64 0; dirs = Array.make 64 false; depth = 0; found = 0; visited = 0;
+    parent = 0; parent_left = false;
+  }
 
-let create ctx = { ctx; root = dummy_node; size = 0; nodes = 0; scratch = [||] }
+let[@inline] present a n = a.(n + hp_w) land 1 <> 0
 
-let scratch_for t (th : Sched.thread) =
-  let tid = th.Sched.tid in
-  if tid >= Array.length t.scratch then begin
-    let a = Array.make (tid + 1) None in
-    Array.blit t.scratch 0 a 0 (Array.length t.scratch);
-    t.scratch <- a
-  end;
-  match t.scratch.(tid) with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          snodes = Array.make 64 dummy_node;
-          sdirs = Array.make 64 false;
-          found = dummy_node;
-          depth = 0;
-          visited = 0;
-          parent = dummy_node;
-          parent_left = false;
-        }
-      in
-      t.scratch.(tid) <- Some s;
-      s
+(* The index of the word holding [n]'s left child if [left], else its
+   right child, computed without a branch. *)
+let[@inline] link n left = n + right_w - Bool.to_int left
 
-let grow_scratch s =
-  let cap = 2 * Array.length s.snodes in
-  let nodes = Array.make cap dummy_node and dirs = Array.make cap false in
-  Array.blit s.snodes 0 nodes 0 (Array.length s.snodes);
-  Array.blit s.sdirs 0 dirs 0 (Array.length s.sdirs);
-  s.snodes <- nodes;
-  s.sdirs <- dirs
+let child_count a n = Bool.to_int (a.(n + left_w) <> 0) + Bool.to_int (a.(n + right_w) <> 0)
 
+let grow_path t =
+  let cap = 2 * Array.length t.path in
+  let path = Array.make cap 0 and dirs = Array.make cap false in
+  Array.blit t.path 0 path 0 (Array.length t.path);
+  Array.blit t.dirs 0 dirs 0 (Array.length t.dirs);
+  t.path <- path;
+  t.dirs <- dirs
+
+let take_slot t =
+  let n = t.free in
+  if n <> 0 then begin
+    t.free <- t.a.(n + hp_w);
+    n
+  end
+  else begin
+    let n = t.top in
+    let len = Array.length t.a in
+    if n + words > len then begin
+      let a = Array.make (2 * len) 0 in
+      Array.blit t.a 0 a 0 n;
+      t.a <- a
+    end;
+    t.top <- n + words;
+    n
+  end
+
+(* [malloc] first, then the slot, as the allocator saw the record
+   allocation. *)
 let alloc_node t th key =
   t.nodes <- t.nodes + 1;
   let h = t.ctx.Ds_intf.alloc.Alloc.Alloc_intf.malloc th node_bytes in
-  { key; left = dummy_node; right = dummy_node; hp = (h lsl 1) lor 1 }
+  let n = take_slot t in
+  let a = t.a in
+  a.(n + key_w) <- key;
+  a.(n + left_w) <- 0;
+  a.(n + right_w) <- 0;
+  a.(n + hp_w) <- (h lsl 1) lor 1;
+  n
 
-let retire_node t th (n : node) =
+(* Retire the handle, then free the slot, whose [hp] word the free list
+   overwrites. *)
+let retire_node t th n =
   t.nodes <- t.nodes - 1;
-  t.ctx.Ds_intf.retire th (node_handle n)
+  let a = t.a in
+  t.ctx.Ds_intf.retire th (a.(n + hp_w) asr 1);
+  a.(n + hp_w) <- t.free;
+  t.free <- n
 
-(* Search for [key], filling [s]: the matching node in [s.found]
-   ([dummy_node] if absent), the path from the root in
-   [s.snodes]/[s.sdirs] (with the direction taken *from* each node),
-   its length in [s.depth], and the number of nodes visited. *)
-(* The descent loops are module-level functions taking their whole state
-   as arguments: a local [let rec] closing over [s] and [key] costs a
-   closure allocation per call, and these are the hottest calls in the
-   simulator. Self tail-calls compile to jumps. *)
-let rec search_go s key n depth visited =
-  if n == dummy_node then begin
-    s.found <- dummy_node;
-    s.depth <- depth;
-    s.visited <- visited
-  end
-  else if key = n.key then begin
-    s.found <- n;
-    s.depth <- depth;
-    s.visited <- visited + 1
+(* Search for [key]: the matching node in [t.found] (0 if absent), the
+   path from the root in [t.path]/[t.dirs] and its length in [t.depth],
+   and the number of nodes visited. The descent loops are module-level
+   functions taking their whole state as arguments: a local [let rec]
+   closing over [key] costs a closure allocation per call. Self tail-calls
+   compile to jumps. *)
+let rec search_go t a key n depth visited =
+  if n = 0 then begin
+    t.found <- 0;
+    t.depth <- depth;
+    t.visited <- visited
   end
   else begin
-    if depth = Array.length s.snodes then grow_scratch s;
-    s.snodes.(depth) <- n;
-    let left = key < n.key in
-    s.sdirs.(depth) <- left;
-    search_go s key (if left then n.left else n.right) (depth + 1) (visited + 1)
+    let k = a.(n + key_w) in
+    if key = k then begin
+      t.found <- n;
+      t.depth <- depth;
+      t.visited <- visited + 1
+    end
+    else begin
+      if depth = Array.length t.path then grow_path t;
+      let left = key < k in
+      t.path.(depth) <- n;
+      t.dirs.(depth) <- left;
+      search_go t a key a.(link n left) (depth + 1) (visited + 1)
+    end
   end
 
-let search t s key = search_go s key t.root 0 0
+let search t key = search_go t t.a key t.root 0 0
 
-(* Store-free search for [contains] and [insert]: tracks only the frontier
-   (the last node on the path and the direction taken from it) in place of
-   the ancestor stack, so the descent is pure loads — no array stores, and
-   in particular no write barriers for the node pointers. Visits exactly
-   the nodes [search] visits. Only [delete] needs the full stack (for the
-   cascaded routing-node unlink) and pays for [search]. *)
-let rec frontier_go s key parent left n visited =
-  if n == dummy_node then begin
-    s.found <- dummy_node;
-    s.parent <- parent;
-    s.parent_left <- left;
-    s.visited <- visited
-  end
-  else if key = n.key then begin
-    s.found <- n;
-    s.visited <- visited + 1
+(* Path-free search for [contains] and [insert]: tracks only the frontier
+   (the last node on the path and the direction taken from it), so the
+   descent is pure loads. Visits exactly the nodes [search] visits. Only
+   [delete] needs the path (for the cascaded routing-node unlink). *)
+let rec frontier_go t a key parent left n visited =
+  if n = 0 then begin
+    t.found <- 0;
+    t.parent <- parent;
+    t.parent_left <- left;
+    t.visited <- visited
   end
   else begin
-    let l = key < n.key in
-    frontier_go s key n l (if l then n.left else n.right) (visited + 1)
+    let k = a.(n + key_w) in
+    if key = k then begin
+      t.found <- n;
+      t.visited <- visited + 1
+    end
+    else begin
+      let l = key < k in
+      frontier_go t a key n l a.(link n l) (visited + 1)
+    end
   end
 
-let search_frontier t s key = frontier_go s key dummy_node false t.root 0
-
-let child_count n =
-  (if n.left != dummy_node then 1 else 0) + (if n.right != dummy_node then 1 else 0)
+let search_frontier t key = frontier_go t t.a key 0 false t.root 0
 
 (* Replace the tree edge leading to path position [depth]. *)
-let replace_in t s depth replacement =
+let replace_in t depth replacement =
   if depth = 0 then t.root <- replacement
-  else begin
-    let p = s.snodes.(depth - 1) in
-    if s.sdirs.(depth - 1) then p.left <- replacement else p.right <- replacement
-  end
+  else t.a.(link t.path.(depth - 1) t.dirs.(depth - 1)) <- replacement
 
 (* Unlink [n] (which has at most one child), then cascade: unlink any
    ancestor routing node left with fewer than two children, as Bronson's
    tree does during deletion cleanup. Returns nodes retired. *)
-let rec unlink t th s n depth =
-  let child = if n.left != dummy_node then n.left else n.right in
-  replace_in t s depth child;
+let rec unlink t th n depth =
+  let a = t.a in
+  let l = a.(n + left_w) in
+  replace_in t depth (if l <> 0 then l else a.(n + right_w));
   retire_node t th n;
   if depth > 0 then begin
-    let p = s.snodes.(depth - 1) in
-    if (not (node_present p)) && child_count p < 2 then 1 + unlink t th s p (depth - 1) else 1
+    let p = t.path.(depth - 1) in
+    if (not (present a p)) && child_count a p < 2 then 1 + unlink t th p (depth - 1) else 1
   end
   else 1
 
 let insert t th key =
-  let s = scratch_for t th in
-  search_frontier t s key;
-  let visited = ref s.visited in
+  search_frontier t key;
+  let visited = ref t.visited in
   let changed =
-    if s.found != dummy_node then begin
-      let n = s.found in
-      if node_present n then false
+    let n = t.found in
+    if n <> 0 then begin
+      let a = t.a in
+      if present a n then false
       else begin
         (* Revive a routing node: no allocation at all. *)
-        n.hp <- n.hp lor 1;
+        a.(n + hp_w) <- a.(n + hp_w) lor 1;
         t.size <- t.size + 1;
         true
       end
     end
     else begin
       let fresh = alloc_node t th key in
-      (if s.parent == dummy_node then t.root <- fresh
-       else if s.parent_left then s.parent.left <- fresh
-       else s.parent.right <- fresh);
+      (if t.parent = 0 then t.root <- fresh
+       else t.a.(link t.parent t.parent_left) <- fresh);
       incr visited;
       t.size <- t.size + 1;
       true
@@ -211,17 +219,16 @@ let insert t th key =
   { Ds_intf.changed; visited = !visited }
 
 let delete t th key =
-  let s = scratch_for t th in
-  search t s key;
-  let visited = ref s.visited in
+  search t key;
+  let visited = ref t.visited in
+  let n = t.found in
   let changed =
-    if s.found != dummy_node && node_present s.found then begin
-      let n = s.found in
+    if n <> 0 && present t.a n then begin
       t.size <- t.size - 1;
-      if child_count n = 2 then
+      if child_count t.a n = 2 then
         (* Two children: becomes a routing node; no memory is touched. *)
-        n.hp <- n.hp land lnot 1
-      else visited := !visited + unlink t th s n s.depth;
+        t.a.(n + hp_w) <- t.a.(n + hp_w) land lnot 1
+      else visited := !visited + unlink t th n t.depth;
       true
     end
     else false
@@ -230,28 +237,40 @@ let delete t th key =
   { Ds_intf.changed; visited = !visited }
 
 let contains t th key =
-  let s = scratch_for t th in
-  search_frontier t s key;
-  Ds_intf.charge t.ctx th s.visited;
-  let present = s.found != dummy_node && node_present s.found in
-  { Ds_intf.changed = present; visited = s.visited }
+  search_frontier t key;
+  Ds_intf.charge t.ctx th t.visited;
+  let present = t.found <> 0 && present t.a t.found in
+  { Ds_intf.changed = present; visited = t.visited }
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf invalid_arg ("Occ_tree: " ^^ fmt) in
-  let present = ref 0 and nodes = ref 0 in
+  let a = t.a in
+  let slot n = n >= words && n < t.top && n mod words = 0 in
+  let present_keys = ref 0 and nodes = ref 0 in
   let rec walk n lo hi =
-    if n != dummy_node then begin
+    if n <> 0 then begin
+      if not (slot n) then fail "node offset %d outside the arena" n;
       incr nodes;
-      if n.key < lo || n.key >= hi then fail "key %d out of range" n.key;
-      if node_present n then incr present
-      else if child_count n = 0 then fail "routing leaf %d" n.key;
-      walk n.left lo n.key;
-      walk n.right (n.key + 1) hi
+      let k = a.(n + key_w) in
+      if k < lo || k >= hi then fail "key %d out of range" k;
+      if present a n then incr present_keys
+      else if child_count a n = 0 then fail "routing leaf %d" k;
+      walk a.(n + left_w) lo k;
+      walk a.(n + right_w) (k + 1) hi
     end
   in
   walk t.root min_int max_int;
-  if !present <> t.size then fail "size counter %d but %d present keys" t.size !present;
-  if !nodes <> t.nodes then fail "node counter %d but %d reachable" t.nodes !nodes
+  if !present_keys <> t.size then fail "size counter %d but %d present keys" t.size !present_keys;
+  if !nodes <> t.nodes then fail "node counter %d but %d reachable" t.nodes !nodes;
+  (* Every slot below [top] is a reachable node or on the free list. *)
+  let free = ref 0 and n = ref t.free in
+  while !n <> 0 && !free < t.top do
+    if not (slot !n) then fail "free slot %d outside the arena" !n;
+    incr free;
+    n := a.(!n + hp_w)
+  done;
+  if !nodes + !free <> (t.top / words) - 1 then
+    fail "%d slots used but %d reachable and %d free" ((t.top / words) - 1) !nodes !free
 
 let make ctx =
   let t = create ctx in

@@ -13,53 +13,71 @@ let base_bytes = 48
 let bytes_per_level = 16
 let max_level = 16
 
-(* Links are direct node references, not [node option]: a [Some] cell is a
-   separate heap block, so an option link costs an extra dependent load per
-   hop and an allocation per store. Every level ends at the one shared
-   [tail] sentinel, keyed [max_int] above every key a search stops at, so
-   the descent needs no end-of-list test. *)
-type node = {
-  h : int;  (* allocator handle; -1 for sentinels *)
-  key : int;
-  next : node array;  (* one slot per level *)
-}
+(* The towers live in one [int array], the arena, and a tower is the
+   offset of its first word there: [key], the allocator [handle], the
+   [height], then [next.(0 .. height-1)]. Offset 0 is the tail, keyed
+   [max_int] above every key a search stops at, so every level ends there
+   and the descent needs no end-of-list test; the head tower follows it.
+   With int links the descent and the predecessors it records store no
+   pointers, so they run without a write barrier and the GC has no tower
+   graph to mark.
 
-let tail = { h = -1; key = max_int; next = [||] }
+   A retired tower's slot goes back at once to the free list of its height
+   (threaded through the [handle] words): the reclaimer protects the
+   handle, not the slot, and every caller runs an operation inside an
+   atomic section, so no other operation holds an offset across it. For
+   the same reason one predecessor scratch per skiplist suffices. *)
+let key_w = 0
+let handle_w = 1
+let height_w = 2
+let next_w = 3
+let tail = 0
+let head = next_w  (* the tail is [key; handle; height = 0] *)
+let first_tower = head + next_w + max_level
 
-(* Predecessors of the current operation's key, one slot per level, reused
-   across operations so a search allocates nothing. The scratch is per
-   *simulated thread*, as in [Occ_tree]: an operation called outside an
-   atomic section can yield in [malloc] or [retire], and other threads then
-   run whole operations, but a thread never has two of its own in
-   flight. *)
+(* Room for about 3,000 towers of the expected height 2; a full arena
+   doubles. *)
+let initial_words = 16_384
+
 type t = {
   ctx : Ds_intf.ctx;
-  head : node;
+  mutable a : int array;  (* the arena *)
+  mutable top : int;  (* first word no tower has used *)
+  free : int array;  (* by height: free slots, linked through [handle]; 0 = none *)
   mutable level : int;  (* highest level currently in use *)
   mutable size : int;
   mutable nodes : int;
-  mutable preds : node array array;  (* indexed by simulated tid *)
+  preds : int array;  (* the last search's predecessor at each level *)
 }
 
 let create ctx =
+  let a = Array.make initial_words 0 in
+  a.(tail + key_w) <- max_int;
   {
-    ctx;
-    head = { h = -1; key = min_int; next = Array.make max_level tail };
-    level = 1;
-    size = 0;
-    nodes = 0;
-    preds = [||];
+    ctx; a; top = first_tower; free = Array.make (max_level + 1) 0; level = 1; size = 0;
+    nodes = 0; preds = Array.make max_level head;
   }
 
-let preds_for t (th : Simcore.Sched.thread) =
-  let tid = th.Simcore.Sched.tid in
-  if tid >= Array.length t.preds then begin
-    let a = Array.make (tid + 1) [||] in
-    Array.blit t.preds 0 a 0 (Array.length t.preds);
-    t.preds <- a
-  end;
-  if Array.length t.preds.(tid) = 0 then t.preds.(tid) <- Array.make max_level t.head;
-  t.preds.(tid)
+(* A slot for a tower of [height]: the last one freed at that height, or
+   fresh words at [top]. *)
+let take_slot t height =
+  let n = t.free.(height) in
+  if n <> 0 then begin
+    t.free.(height) <- t.a.(n + handle_w);
+    n
+  end
+  else begin
+    let n = t.top in
+    let top = n + next_w + height in
+    let len = Array.length t.a in
+    if top > len then begin
+      let a = Array.make (2 * len) 0 in
+      Array.blit t.a 0 a 0 n;
+      t.a <- a
+    end;
+    t.top <- top;
+    n
+  end
 
 (* Geometric tower heights from the thread's deterministic stream. *)
 let random_level (th : Simcore.Sched.thread) =
@@ -69,16 +87,17 @@ let random_level (th : Simcore.Sched.thread) =
   done;
   !l
 
-(* Store the predecessor of [key] at every level in [preds]; returns the
+(* Store the predecessor of [key] at every level in [t.preds]; returns the
    number of nodes visited. *)
-let find_preds t preds key =
+let find_preds t key =
+  let a = t.a and preds = t.preds in
   let visited = ref 0 in
-  let node = ref t.head in
+  let node = ref head in
   for lvl = t.level - 1 downto 0 do
-    let next = ref !node.next.(lvl) in
-    while !next.key < key do
+    let next = ref a.(!node + next_w + lvl) in
+    while a.(!next + key_w) < key do
       node := !next;
-      next := !next.next.(lvl);
+      next := a.(!next + next_w + lvl);
       incr visited
     done;
     preds.(lvl) <- !node;
@@ -86,32 +105,37 @@ let find_preds t preds key =
   done;
   !visited
 
-(* The node holding [key] after [preds.(0)], or [tail]. *)
-let found_after preds key =
-  let n = preds.(0).next.(0) in
-  if n.key = key && n != tail then n else tail
+(* The tower holding [key] after [t.preds.(0)], or [tail]. *)
+let found_after t key =
+  let a = t.a in
+  let n = a.(t.preds.(0) + next_w) in
+  if a.(n + key_w) = key && n <> tail then n else tail
 
 let insert t th key =
-  let preds = preds_for t th in
-  let visited = ref (find_preds t preds key) in
+  let visited = ref (find_preds t key) in
   let changed =
-    if found_after preds key != tail then false
+    if found_after t key <> tail then false
     else begin
       let level = random_level th in
       let bytes = base_bytes + (bytes_per_level * level) in
-      let searched = t.level in
       t.nodes <- t.nodes + 1;
+      (* [malloc] first, then the slot, as the allocator saw the tower
+         allocation. *)
       let h = t.ctx.Ds_intf.alloc.Alloc.Alloc_intf.malloc th bytes in
-      let fresh = { h; key; next = Array.make level tail } in
-      (* Levels the search did not fill descend from the head, and so do
-         levels that emptied while [malloc] yielded. *)
-      for lvl = min searched t.level to level - 1 do
-        preds.(lvl) <- t.head
+      let fresh = take_slot t level in
+      let a = t.a and preds = t.preds in
+      a.(fresh + key_w) <- key;
+      a.(fresh + handle_w) <- h;
+      a.(fresh + height_w) <- level;
+      (* Levels above the search's descend from the head. *)
+      for lvl = t.level to level - 1 do
+        preds.(lvl) <- head
       done;
       if level > t.level then t.level <- level;
       for lvl = 0 to level - 1 do
-        fresh.next.(lvl) <- preds.(lvl).next.(lvl);
-        preds.(lvl).next.(lvl) <- fresh
+        let link = preds.(lvl) + next_w + lvl in
+        a.(fresh + next_w + lvl) <- a.(link);
+        a.(link) <- fresh
       done;
       visited := !visited + level;
       t.size <- t.size + 1;
@@ -122,22 +146,27 @@ let insert t th key =
   { Ds_intf.changed; visited = !visited }
 
 let delete t th key =
-  let preds = preds_for t th in
-  let visited = ref (find_preds t preds key) in
-  let n = found_after preds key in
+  let visited = ref (find_preds t key) in
+  let n = found_after t key in
   let changed =
-    if n == tail then false
+    if n = tail then false
     else begin
-      let height = Array.length n.next in
+      let a = t.a and preds = t.preds in
+      let height = a.(n + height_w) in
       for lvl = 0 to height - 1 do
-        if preds.(lvl).next.(lvl) == n then preds.(lvl).next.(lvl) <- n.next.(lvl)
+        let link = preds.(lvl) + next_w + lvl in
+        if a.(link) = n then a.(link) <- a.(n + next_w + lvl)
       done;
       (* Shrink the active level if the top became empty. *)
-      while t.level > 1 && t.head.next.(t.level - 1) == tail do
+      while t.level > 1 && a.(head + next_w + t.level - 1) = tail do
         t.level <- t.level - 1
       done;
       t.nodes <- t.nodes - 1;
-      t.ctx.Ds_intf.retire th n.h;
+      (* Retire the handle, then free the slot, whose [handle] word the
+         free list overwrites. *)
+      t.ctx.Ds_intf.retire th a.(n + handle_w);
+      a.(n + handle_w) <- t.free.(height);
+      t.free.(height) <- n;
       visited := !visited + height;
       t.size <- t.size - 1;
       true
@@ -147,35 +176,54 @@ let delete t th key =
   { Ds_intf.changed; visited = !visited }
 
 let contains t th key =
-  let preds = preds_for t th in
-  let visited = find_preds t preds key in
+  let visited = find_preds t key in
   Ds_intf.charge t.ctx th visited;
-  { Ds_intf.changed = found_after preds key != tail; visited }
+  { Ds_intf.changed = found_after t key <> tail; visited }
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf invalid_arg ("Skiplist: " ^^ fmt) in
+  let a = t.a in
+  let in_arena n = n >= first_tower && n < t.top in
+  let height n = a.(n + height_w) in
   (* Level-0 keys strictly ascending; every count consistent. *)
-  let count = ref 0 in
+  let count = ref 0 and words = ref 0 in
   let rec walk prev n =
-    if n != tail then begin
-      if n.key <= prev then fail "keys not ascending at %d" n.key;
+    if n <> tail then begin
+      if not (in_arena n) then fail "tower offset %d outside the arena" n;
+      let k = a.(n + key_w) in
+      if k <= prev then fail "keys not ascending at %d" k;
+      if height n < 1 || height n > max_level then fail "height %d at key %d" (height n) k;
       incr count;
-      walk n.key n.next.(0)
+      words := !words + next_w + height n;
+      walk k a.(n + next_w)
     end
   in
-  walk min_int t.head.next.(0);
+  walk min_int a.(head + next_w);
   if !count <> t.size then fail "size %d but %d keys" t.size !count;
   if !count <> t.nodes then fail "nodes %d but %d reachable" t.nodes !count;
   (* Every higher-level list is a subsequence of level 0. *)
   for lvl = 1 to t.level - 1 do
     let rec sub n =
-      if n != tail then begin
-        if Array.length n.next <= lvl then fail "tower too short at key %d" n.key;
-        sub n.next.(lvl)
+      if n <> tail then begin
+        if height n <= lvl then fail "tower too short at key %d" a.(n + key_w);
+        sub a.(n + next_w + lvl)
       end
     in
-    sub t.head.next.(lvl)
-  done
+    sub a.(head + next_w + lvl)
+  done;
+  (* Every word below [top] belongs to a reachable tower or to a free
+     slot of the height its list is kept for. *)
+  for h = 1 to max_level do
+    let n = ref t.free.(h) in
+    while !n <> 0 && !words <= t.top do
+      if not (in_arena !n) then fail "free slot %d outside the arena" !n;
+      if height !n <> h then fail "free slot %d of height %d on the list of %d" !n (height !n) h;
+      words := !words + next_w + h;
+      n := a.(!n + handle_w)
+    done
+  done;
+  if !words <> t.top - first_tower then
+    fail "%d words used but %d in reachable towers and free slots" (t.top - first_tower) !words
 
 let make ctx =
   let t = create ctx in

@@ -6,7 +6,7 @@
 type t = { mutable data : int array; mutable len : int }
 
 let create ?(capacity = 8) () =
-  { data = Array.make (max 1 capacity) 0; len = 0 }
+  { data = Array.make (Int.max 1 capacity) 0; len = 0 }
 
 let[@inline] length v = v.len
 let[@inline] is_empty v = v.len = 0
@@ -66,7 +66,7 @@ let append dst src =
 let to_list v = List.init v.len (fun i -> v.data.(i))
 
 let of_list l =
-  let v = create ~capacity:(max 1 (List.length l)) () in
+  let v = create ~capacity:(Int.max 1 (List.length l)) () in
   List.iter (push v) l;
   v
 
@@ -74,7 +74,7 @@ let of_list l =
    order they were pushed. Used by allocator flushes that evict a fraction
    of a cache. *)
 let take_last v n =
-  let n = min n v.len in
+  let n = Int.min n v.len in
   let out = Array.sub v.data (v.len - n) n in
   v.len <- v.len - n;
   out
@@ -82,7 +82,7 @@ let take_last v n =
 (* Remove and return the first [n] elements (or fewer), oldest first. Used
    by allocator flushes that evict the least recently freed objects. *)
 let take_front v n =
-  let n = min n v.len in
+  let n = Int.min n v.len in
   let out = Array.sub v.data 0 n in
   Array.blit v.data n v.data 0 (v.len - n);
   v.len <- v.len - n;
@@ -92,7 +92,7 @@ let take_front v n =
    sibling of [take_front] for callers that have already consumed the
    prefix via [get]/[unsafe_get]. *)
 let drop_front v n =
-  let n = min n v.len in
+  let n = Int.min n v.len in
   Array.blit v.data n v.data 0 (v.len - n);
   v.len <- v.len - n
 
@@ -100,7 +100,7 @@ module Poly = struct
   type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
   let create ?(capacity = 8) ~dummy () =
-    { data = Array.make (max 1 capacity) dummy; len = 0; dummy }
+    { data = Array.make (Int.max 1 capacity) dummy; len = 0; dummy }
 
   let length v = v.len
   let is_empty v = v.len = 0

@@ -191,17 +191,17 @@ let recording_ctx (alloc : Alloc.Alloc_intf.t) log =
     node_cost = 5;
   }
 
+let apply (ds : Ds.Ds_intf.t) th = function
+  | Insert k -> ds.Ds.Ds_intf.insert th k
+  | Delete k -> ds.Ds.Ds_intf.delete th k
+  | Contains k -> ds.Ds.Ds_intf.contains th k
+
 let abtree_matches_reference (a, b) ops =
   Helpers.in_sim (fun sched th ->
       let log = ref [] and ref_log = ref [] in
       let tree = Ds.Abtree.make ~a ~b (recording_ctx (Alloc.Registry.make "jemalloc" sched) log) th in
       let reference =
         Abtree_ref.make ~a ~b (recording_ctx (Alloc.Registry.make "jemalloc" sched) ref_log) th
-      in
-      let apply (ds : Ds.Ds_intf.t) = function
-        | Insert k -> ds.Ds.Ds_intf.insert th k
-        | Delete k -> ds.Ds.Ds_intf.delete th k
-        | Contains k -> ds.Ds.Ds_intf.contains th k
       in
       let same () =
         let ok =
@@ -217,24 +217,28 @@ let abtree_matches_reference (a, b) ops =
       same ()
       && List.for_all
            (fun op ->
-             let r = apply tree op in
-             let r' = apply reference op in
+             let r = apply tree th op in
+             let r' = apply reference th op in
              r = r' && same ())
            ops)
 
-let script_gen =
+(* [len] operations that mostly insert, then [len] that mostly delete,
+   over keys below [range]. *)
+let grow_shrink ~range ~len =
   QCheck.Gen.(
-    oneofl [ (2, 3); (3, 5); (6, 16) ] >>= fun (a, b) ->
-    int_range (2 * b) (24 * b) >>= fun range ->
-    int_range 20 (40 * b) >>= fun len ->
     let phase ~insert ~delete =
       list_repeat len
         (map2
            (fun k c -> if c < insert then Insert k else if c < insert + delete then Delete k else Contains k)
            (int_bound (range - 1)) (int_bound 99))
     in
-    map2 (fun grow shrink -> ((a, b), grow @ shrink))
-      (phase ~insert:60 ~delete:20) (phase ~insert:15 ~delete:65))
+    map2 ( @ ) (phase ~insert:60 ~delete:20) (phase ~insert:15 ~delete:65))
+
+let script_gen =
+  QCheck.Gen.(
+    oneofl [ (2, 3); (3, 5); (6, 16) ] >>= fun (a, b) ->
+    int_range (2 * b) (24 * b) >>= fun range ->
+    int_range 20 (40 * b) >>= fun len -> map (fun ops -> ((a, b), ops)) (grow_shrink ~range ~len))
 
 let script_arb =
   QCheck.make script_gen
@@ -270,6 +274,72 @@ let test_abtree_reference_coverage () =
   List.iter2
     (fun (path, was) (_, now) -> if now = was then Alcotest.failf "no script reached %s" path)
     before (reached ())
+
+(* The arena OCC tree and skiplist against the pointer-based references
+   [Occ_tree_ref] and [Skiplist_ref]. Each runs the same script in a
+   simulator of its own, on thread 0 at the same seed, so the skiplist's
+   tower heights come from the same random stream. After every operation
+   the two runs must agree on its result ([changed], [visited]), the
+   allocator calls it made (size and returned handle of every malloc,
+   every retire, in order), the size and node count, the position of the
+   thread's random stream and its virtual clock; the structure's
+   invariants, its arena's accounting included, must hold after every
+   step. Retired nodes are freed at once, so a handle retired out of order
+   also changes which handle a later malloc returns. *)
+type step = {
+  result : Ds.Ds_intf.op_result;
+  calls : alloc_event list;
+  size : int;
+  nodes : int;
+  stream : int64;  (* the thread's next draw *)
+  clock : int;
+}
+
+let run_script ?(check_every = 1) make ops =
+  Helpers.in_sim (fun sched th ->
+      let log = ref [] in
+      let ds : Ds.Ds_intf.t = make (recording_ctx (Alloc.Registry.make "jemalloc" sched) log) in
+      List.mapi
+        (fun i op ->
+          let result = apply ds th op in
+          if i mod check_every = 0 then ds.Ds.Ds_intf.check_invariants ();
+          let calls = List.rev !log in
+          log := [];
+          {
+            result; calls; size = ds.Ds.Ds_intf.size (); nodes = ds.Ds.Ds_intf.node_count ();
+            stream = Rng.next_int64 (Rng.copy th.Sched.rng); clock = Sched.now th;
+          })
+        ops)
+
+let matches_reference ?check_every make make_ref ops =
+  run_script ?check_every make ops = run_script ?check_every make_ref ops
+
+(* The shrinking half reaches routing nodes and cascaded unlinks in the
+   tree and reuses freed slots of every height in the skiplist. *)
+let grow_shrink_arb =
+  QCheck.make
+    QCheck.Gen.(int_range 8 256 >>= fun range -> int_range 20 400 >>= fun len -> grow_shrink ~range ~len)
+    ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
+    ~shrink:QCheck.Shrink.list
+
+let prop_occtree_matches_reference =
+  Helpers.prop ~count:200 "occtree matches pointer reference" grow_shrink_arb
+    (matches_reference Ds.Occ_tree.make Occ_tree_ref.make)
+
+let prop_skiplist_matches_reference =
+  Helpers.prop ~count:200 "skiplist matches pointer reference" grow_shrink_arb
+    (matches_reference Ds.Skiplist.make Skiplist_ref.make)
+
+(* Past the arenas' initial 16,384 words: 5,000 distinct keys in a
+   scrambled order, then every one deleted. The invariants, a walk of the
+   whole structure, are checked every 500 steps. *)
+let test_arena_growth () =
+  let keys = List.init 5_000 (fun i -> i * 7_919 mod 5_000) in
+  let ops = List.map (fun k -> Insert k) keys @ List.map (fun k -> Delete k) (List.rev keys) in
+  Alcotest.(check bool) "occtree matches the reference" true
+    (matches_reference ~check_every:500 Ds.Occ_tree.make Occ_tree_ref.make ops);
+  Alcotest.(check bool) "skiplist matches the reference" true
+    (matches_reference ~check_every:500 Ds.Skiplist.make Skiplist_ref.make ops)
 
 let test_visited_counts () =
   Helpers.in_sim (fun sched th ->
@@ -310,4 +380,7 @@ let suite =
       Helpers.quick "visited_counts" test_visited_counts;
       prop_abtree_matches_reference;
       Helpers.quick "abtree_reference_coverage" test_abtree_reference_coverage;
+      prop_occtree_matches_reference;
+      prop_skiplist_matches_reference;
+      Helpers.quick "arena_growth" test_arena_growth;
     ] )
