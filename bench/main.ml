@@ -16,8 +16,10 @@ let usage () =
 
 (* The cheapest representative subset, for CI: exercises the full
    config -> runner -> figure -> shape-check pipeline in well under a
-   minute with QUICK=1 (`make bench-smoke`). *)
-let smoke_ids = [ "fig1" ]
+   minute with QUICK=1 (`make bench-smoke`). [ablate-allocfix] is the
+   one experiment that runs batch-aware JEmalloc (footnote 3) against
+   the stock model. *)
+let smoke_ids = [ "fig1"; "ablate-allocfix" ]
 
 let rec run_one id =
   match List.assoc_opt id (Figures.all_figures @ Figures.extras) with

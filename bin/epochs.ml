@@ -57,14 +57,7 @@ let zipf_arg =
     & opt (some float) None
     & info [ "zipf" ] ~docv:"THETA" ~doc:"Zipf-skew the key distribution with exponent $(docv).")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains to fan independent trials out over. Defaults to $(b,EPOCHS_JOBS) when set, \
-           else the recommended domain count. Results are bit-identical to a sequential run.")
+let jobs_arg = Jobs.term ~over:"independent trials"
 
 let trace_arg =
   Arg.(
@@ -97,8 +90,6 @@ let churn_arg =
            $(b,resize:AT_NS:KEEP:DOWN_NS) (shrink to KEEP threads) or \
            $(b,failover:AT_NS:SOCKET:DOWN_NS) (lose a socket). Times are virtual ns from \
            the start of the measured window; DOWN_NS < 0 means never respawn.")
-
-let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_jobs ()
 
 (* Report a bad command line and exit 2, as cmdliner does for its own
    usage errors — never with an uncaught exception. *)
@@ -241,7 +232,7 @@ let run_cmd =
     in
     let trials =
       match trace with
-      | None -> Runtime.Runner.run ~jobs:(resolve_jobs jobs) cfg
+      | None -> Runtime.Runner.run ~jobs cfg
       | Some path ->
           (* Trace the first trial; the rest run untraced as usual. *)
           let tracer = Simcore.Tracer.create ~capacity:trace_capacity () in
@@ -294,7 +285,6 @@ let sweep_cmd =
       & info [ "threads" ] ~docv:"NS" ~doc:"Comma-separated thread counts.")
   in
   let run ds smrs alloc threads machine keys duration trials seed jobs churn =
-    let jobs = resolve_jobs jobs in
     (* [all] / [all_af] expand from the registry, so a newly registered
        reclaimer shows up in sweeps without touching the CLI. *)
     let smrs =

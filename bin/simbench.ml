@@ -38,15 +38,7 @@ let out_arg =
     & opt string default_out
     & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the run's results as JSON.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains to fan entries out over. Defaults to $(b,EPOCHS_JOBS) when set, else the \
-           recommended domain count. Parallelism is bit-identical to sequential execution: it \
-           changes nothing but wall-clock time.")
+let jobs_arg = Jobs.term ~over:"entries"
 
 let trace_dir_arg =
   Arg.(
@@ -73,8 +65,6 @@ let only_arg =
     & opt (some string) None
     & info [ "only" ] ~docv:"IDS"
         ~doc:"Comma-separated entry ids to run, looked up across every tier. Overrides --tier.")
-
-let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_jobs ()
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
 let check_out ?dir ~flag path =
@@ -181,7 +171,6 @@ let run_suite ?trace_dir ~jobs entries =
 
 let run_cmd =
   let run suite out jobs trace_dir tier only =
-    let jobs = resolve_jobs jobs in
     check_out ~flag:"--out" out;
     Option.iter (check_out ~dir:true ~flag:"--trace") trace_dir;
     (match trace_dir with
@@ -204,7 +193,6 @@ let run_cmd =
 
 let check_cmd =
   let run suite baselines out jobs tier only =
-    let jobs = resolve_jobs jobs in
     check_out ~flag:"--out" out;
     let entries, suite_label = load_suite suite in
     let entries = select_entries ~tier ~only entries in
@@ -236,7 +224,6 @@ let check_cmd =
 
 let bless_cmd =
   let run suite baselines jobs tier only =
-    let jobs = resolve_jobs jobs in
     let entries, _ = load_suite suite in
     let entries = select_entries ~tier ~only entries in
     let blessed = List.map snd (run_suite ~jobs entries) in

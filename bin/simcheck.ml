@@ -43,15 +43,7 @@ let budget_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"First workload seed.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains to fan schedules out over. Defaults to $(b,EPOCHS_JOBS) when set, else \
-           the recommended domain count. Exploration reports are bit-identical to sequential \
-           runs: parallelism changes nothing but wall-clock time.")
+let jobs_arg = Jobs.term ~over:"schedules"
 
 let mutant_arg =
   Arg.(
@@ -73,8 +65,6 @@ let max_traces_arg =
 
 let no_shrink_arg =
   Arg.(value & flag & info [ "no-shrink" ] ~doc:"Save counterexamples without shrinking.")
-
-let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_jobs ()
 
 let resolve_scenarios name =
   if name = "all" then Check.Scenario.all
@@ -142,7 +132,6 @@ let run_cmd =
     if budget < 1 then die "simcheck: --budget must be at least 1 (got %d)" budget;
     if max_traces < 0 then die "simcheck: --max-traces must not be negative (got %d)" max_traces;
     check_out ~dir:true ~flag:"--trace-dir" trace_dir;
-    let jobs = resolve_jobs jobs in
     let scenarios = resolve_scenarios scenario in
     let strategies = resolve_strategies strategy in
     let mutant = resolve_mutant mutant_name in
@@ -321,7 +310,6 @@ let selftest_matrix =
 let selftest_cmd =
   let run jobs seed trace_dir =
     check_out ~dir:true ~flag:"--trace-dir" trace_dir;
-    let jobs = resolve_jobs jobs in
     let failures = ref 0 in
     List.iter
       (fun (scen, strat, mut, budget) ->

@@ -85,7 +85,7 @@ let alloc_double_free name =
 
 let test_jemalloc_recycles () =
   Helpers.in_sim (fun sched th ->
-      let a = Alloc.Jemalloc_sim.make sched in
+      let a = Alloc.Jemalloc_sim.make Stock sched in
       let h = a.Alloc.Alloc_intf.malloc th 240 in
       a.Alloc.Alloc_intf.free th h;
       let mapped = Alloc.Obj_table.mapped_bytes a.Alloc.Alloc_intf.table in
@@ -99,7 +99,7 @@ let test_jemalloc_recycles () =
 let test_jemalloc_flush_on_overflow () =
   Helpers.in_sim (fun sched th ->
       let config = { Alloc.Alloc_intf.default_config with Alloc.Alloc_intf.tcache_cap = 8 } in
-      let a = Alloc.Jemalloc_sim.make ~config sched in
+      let a = Alloc.Jemalloc_sim.make Stock ~config sched in
       let hs = List.init 32 (fun _ -> a.Alloc.Alloc_intf.malloc th 240) in
       List.iter (a.Alloc.Alloc_intf.free th) hs;
       Alcotest.(check bool) "overflow triggered flushes" true
@@ -112,7 +112,7 @@ let test_jemalloc_remote_free_counted () =
      them to thread 0's arena and count them as remote. *)
   let sched = Helpers.make_sched ~n:2 () in
   let config = { Alloc.Alloc_intf.default_config with Alloc.Alloc_intf.tcache_cap = 4 } in
-  let a = Alloc.Jemalloc_sim.make ~config sched in
+  let a = Alloc.Jemalloc_sim.make Stock ~config sched in
   let handles = ref [] in
   let done0 = ref false in
   Sched.spawn sched (Sched.thread sched 0) (fun th ->
@@ -203,12 +203,19 @@ let test_leak_never_recycles () =
       Alcotest.(check int) "mapped grows" 128
         (Alloc.Obj_table.mapped_bytes a.Alloc.Alloc_intf.table))
 
+(* One table gives the registry's names and its unknown-name error, which
+   names the culprit and lists every valid name. *)
 let test_registry_unknown () =
-  Alcotest.(check bool) "unknown allocator rejected" true
-    (try
-       ignore (Helpers.in_sim (fun sched _th -> Alloc.Registry.make "bogus" sched));
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check (list string))
+    "names"
+    [ "jemalloc"; "jemalloc-ba"; "tcmalloc"; "mimalloc"; "leak"; "jemalloc-pool" ]
+    Alloc.Registry.names;
+  match Helpers.in_sim (fun sched _th -> Alloc.Registry.make "bogus" sched) with
+  | _ -> Alcotest.fail "unknown allocator accepted"
+  | exception Invalid_argument msg ->
+      List.iter
+        (fun name -> Alcotest.(check bool) ("error lists " ^ name) true (Helpers.contains msg name))
+        ("bogus" :: Alloc.Registry.names)
 
 let suite =
   ( "alloc",

@@ -6,7 +6,7 @@ open Simcore
 let test_batch_aware_small_flushes () =
   Helpers.in_sim (fun sched th ->
       let config = { Alloc.Alloc_intf.default_config with Alloc.Alloc_intf.tcache_cap = 8 } in
-      let a = Alloc.Jemalloc_batch_aware.make ~config sched in
+      let a = Alloc.Jemalloc_sim.make Batch_aware ~config sched in
       (* Free a big batch: stock JEmalloc would flush 3/4 of the cache per
          overflow; the batch-aware variant evicts small chunks, so the
          worst single free call stays short. *)
@@ -19,7 +19,7 @@ let test_batch_aware_small_flushes () =
 
 let test_batch_aware_recycles () =
   Helpers.in_sim (fun sched th ->
-      let a = Alloc.Jemalloc_batch_aware.make sched in
+      let a = Alloc.Jemalloc_sim.make Batch_aware sched in
       let hs = List.init 128 (fun _ -> a.Alloc.Alloc_intf.malloc th 240) in
       List.iter (a.Alloc.Alloc_intf.free th) hs;
       let mapped = Alloc.Obj_table.mapped_bytes a.Alloc.Alloc_intf.table in
@@ -30,7 +30,7 @@ let test_batch_aware_recycles () =
 
 let test_pool_hit () =
   Helpers.in_sim (fun sched th ->
-      let base = Alloc.Jemalloc_sim.make sched in
+      let base = Alloc.Jemalloc_sim.make Stock sched in
       let a, pool = Alloc.Pooled.wrap ~n:(Sched.n_threads sched) base in
       let h = a.Alloc.Alloc_intf.malloc th 64 in
       a.Alloc.Alloc_intf.free th h;
@@ -41,7 +41,7 @@ let test_pool_hit () =
 
 let test_pool_bypasses_allocator () =
   Helpers.in_sim (fun sched th ->
-      let base = Alloc.Jemalloc_sim.make sched in
+      let base = Alloc.Jemalloc_sim.make Stock sched in
       let a, _pool = Alloc.Pooled.wrap ~n:(Sched.n_threads sched) base in
       let hs = List.init 100 (fun _ -> a.Alloc.Alloc_intf.malloc th 240) in
       List.iter (a.Alloc.Alloc_intf.free th) hs;
@@ -55,7 +55,7 @@ let test_pool_bypasses_allocator () =
 
 let test_pool_live_accounting () =
   Helpers.in_sim (fun sched th ->
-      let base = Alloc.Jemalloc_sim.make sched in
+      let base = Alloc.Jemalloc_sim.make Stock sched in
       let a, _ = Alloc.Pooled.wrap ~n:(Sched.n_threads sched) base in
       let h = a.Alloc.Alloc_intf.malloc th 64 in
       Alcotest.(check bool) "live after pooled malloc" true

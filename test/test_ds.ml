@@ -355,6 +355,24 @@ let test_visited_counts () =
       Alcotest.(check bool) "shallow key visits fewer" true
         (r1.Ds.Ds_intf.visited < r.Ds.Ds_intf.visited))
 
+(* As for the allocators: the unknown-name error names the culprit and
+   lists every valid name. *)
+let test_registry_unknown () =
+  let unknown =
+    Helpers.in_sim (fun sched th ->
+        let alloc = Alloc.Registry.make "leak" sched in
+        let ctx = { Ds.Ds_intf.alloc; retire = (fun _ _ -> ()); node_cost = 1 } in
+        match Ds.Ds_registry.make "bogus" ctx th with
+        | _ -> None
+        | exception Invalid_argument msg -> Some msg)
+  in
+  match unknown with
+  | None -> Alcotest.fail "unknown data structure accepted"
+  | Some msg ->
+      List.iter
+        (fun name -> Alcotest.(check bool) ("error lists " ^ name) true (Helpers.contains msg name))
+        ("bogus" :: Ds.Ds_registry.names)
+
 let suite =
   ( "ds",
     [
@@ -383,4 +401,5 @@ let suite =
       prop_occtree_matches_reference;
       prop_skiplist_matches_reference;
       Helpers.quick "arena_growth" test_arena_growth;
+      Helpers.quick "registry_unknown" test_registry_unknown;
     ] )

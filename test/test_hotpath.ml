@@ -299,10 +299,30 @@ let check_digest label cfg (digest, yields, elided) =
   Alcotest.(check (pair int int)) (label ^ " yields, elided") (yields, elided)
     (!performed, !skipped)
 
-let test_digest_stability () =
+(* The same trials under a rolling restart: each of the four threads
+   retires once inside the window and respawns, so each model's
+   thread-exit teardown runs inside the digest: JEmalloc's whole-tcache
+   flush (also behind the pool), the batch-aware spill-and-drain and
+   TCmalloc's central return. Captured while the batch-aware JEmalloc was
+   still a module of its own, to pin the merge of the two models. *)
+let churned_digests =
+  [
+    ("jemalloc", ("23881c3f7c2c0858b062040cd8f5c7c7", 2142, 396));
+    ("jemalloc-ba", ("f69c178f008f383aceaec3c109a498ab", 2129, 431));
+    ("tcmalloc", ("6f28d32a9542d5f60f971a29102b67f9", 2129, 388));
+    ("mimalloc", ("9a449908f487f00f710c91add2342b95", 2178, 745));
+    ("leak", ("1e192a7e8f72df90d7770fc8fd62f45c", 2159, 323));
+    ("jemalloc-pool", ("52e3238ed41877297add0acbd0a2b19e", 2148, 361));
+  ]
+
+let check_alloc_digests ?churn digests () =
   List.iter
-    (fun (alloc, expected) -> check_digest alloc { digest_base with Runtime.Config.alloc } expected)
-    expected_digests
+    (fun (alloc, expected) ->
+      check_digest alloc { digest_base with Runtime.Config.alloc; churn } expected)
+    digests
+
+let rolling_restart =
+  Runtime.Config.Rolling_restart { first_ns = 500_000; every_ns = 800_000; down_ns = 300_000 }
 
 (* The ABtree's own guard, captured on the copy-on-write tree: short trials
    at n = 8 over 256 keys, where leaves split and merge, under an epoch
@@ -433,7 +453,9 @@ let suite =
       Helpers.quick "flush_refill_zero_alloc" test_flush_refill_zero_alloc;
       Helpers.quick "queue_dispatch_zero_alloc" test_queue_dispatch_zero_alloc;
       Helpers.quick "yield_minor_words" test_yield_minor_words;
-      Helpers.quick "digest_stability" test_digest_stability;
+      Helpers.quick "digest_stability" (check_alloc_digests expected_digests);
+      Helpers.quick "churned_digest_stability"
+        (check_alloc_digests ~churn:rolling_restart churned_digests);
       Helpers.quick "abtree_digest_stability" (check_ds_digests "abtree" abtree_digests);
       Helpers.quick "occtree_digest_stability" (check_ds_digests "occtree" occtree_digests);
       Helpers.quick "skiplist_digest_stability" (check_ds_digests "skiplist" skiplist_digests);
