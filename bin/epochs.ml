@@ -74,11 +74,11 @@ let trace_arg =
 let trace_capacity_arg =
   Arg.(
     value
-    & opt int (1 lsl 20)
+    & opt Jobs.at_least_one (1 lsl 20)
     & info [ "trace-capacity" ] ~docv:"N"
         ~doc:
-          "Ring-buffer capacity of the trace recorder, in events; the newest $(docv) events \
-           are kept and older ones are dropped.")
+          "Ring-buffer capacity of the trace recorder, in events, at least 1; the newest \
+           $(docv) events are kept and older ones are dropped.")
 
 let churn_arg =
   Arg.(
@@ -91,8 +91,11 @@ let churn_arg =
            $(b,failover:AT_NS:SOCKET:DOWN_NS) (lose a socket). Times are virtual ns from \
            the start of the measured window; DOWN_NS < 0 means never respawn.")
 
-(* Report a bad command line and exit 2, as cmdliner does for its own
-   usage errors — never with an uncaught exception. *)
+(* Report bad input that no option's converter can see (an unknown
+   machine, a malformed churn plan, a missing output directory, flags that
+   conflict) and exit 2 — never with an uncaught exception. An option out
+   of its own range is refused by its converter instead, and cmdliner
+   exits 124 for that, as for every usage error. *)
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("epochs: " ^ msg); exit 2) fmt
 let check_out ~flag path = Result.iter_error (die "%s") (Runtime.Out_path.check ~flag path)
 
@@ -222,8 +225,6 @@ let run_cmd =
     (match svg with
     | Some path when not timeline -> die "--svg %s requires --timeline" path
     | _ -> ());
-    if trace_capacity < 1 then
-      die "--trace-capacity %d is out of range; it must be >= 1" trace_capacity;
     Option.iter (check_out ~flag:"--trace") trace;
     Option.iter (check_out ~flag:"--svg") svg;
     let cfg =

@@ -36,7 +36,7 @@ let strategy_arg =
 
 let budget_arg =
   Arg.(
-    value & opt int 40
+    value & opt Jobs.at_least_one 40
     & info [ "budget" ] ~docv:"N"
         ~doc:"Schedules to explore per (scenario, strategy) pair; at least 1.")
 
@@ -59,7 +59,7 @@ let trace_dir_arg =
 
 let max_traces_arg =
   Arg.(
-    value & opt int 2
+    value & opt (Jobs.at_least 0) 2
     & info [ "max-traces" ] ~docv:"N"
         ~doc:"Counterexamples to shrink and save per (scenario, strategy) pair; 0 saves none.")
 
@@ -129,8 +129,6 @@ let emit_trace ~dir ~shrink sc (t : Check.Trace.t) =
 
 let run_cmd =
   let run scenario strategy budget seed jobs mutant_name trace_dir max_traces no_shrink =
-    if budget < 1 then die "simcheck: --budget must be at least 1 (got %d)" budget;
-    if max_traces < 0 then die "simcheck: --max-traces must not be negative (got %d)" max_traces;
     check_out ~dir:true ~flag:"--trace-dir" trace_dir;
     let scenarios = resolve_scenarios scenario in
     let strategies = resolve_strategies strategy in

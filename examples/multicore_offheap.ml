@@ -7,7 +7,9 @@
    example runs four domains over a shared Treiber stack whose payloads
    are blocks of an off-heap slab: pops retire blocks through the paper's
    Token-EBR (amortized), and the per-block sequence numbers prove no
-   block was ever recycled while a domain could still read it. *)
+   block was ever recycled while a domain could still read it. It exits 1
+   on a use-after-free or when a block is not back in the slab at the
+   end. *)
 
 let () =
   let domains = 4 and ops = 50_000 and blocks = 8192 in
@@ -59,6 +61,6 @@ let () =
     | None -> ()
   in
   drain ();
-  Printf.printf "blocks conserved: %d/%d back on the free list\n"
-    (Parallel.Slab.free_blocks slab) (Parallel.Slab.capacity slab);
-  if Atomic.get violations > 0 then Stdlib.exit 1
+  let free = Parallel.Slab.free_blocks slab and capacity = Parallel.Slab.capacity slab in
+  Printf.printf "blocks conserved: %d/%d back on the free list\n" free capacity;
+  if Atomic.get violations > 0 || free <> capacity then Stdlib.exit 1

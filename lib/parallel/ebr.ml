@@ -132,7 +132,7 @@ let enter_epoch h e =
          e h.slot h.bag_epoch.(0) h.bag_epoch.(1) h.bag_epoch.(2));
   h.bag_epoch.(!free) <- e;
   h.cur <- !free;
-  h.scan_idx <- (h.slot + 1) mod max 1 h.t.n_slots
+  h.scan_idx <- (h.slot + 1) mod Int.max 1 h.t.n_slots
 
 let try_advance h e =
   let n = h.t.n_slots in

@@ -64,7 +64,8 @@ let create ?(mode = Batch) ?(scan_threshold = 8) ?(slots_per_domain = 2) ~max_do
     reg_lock = Mutex.create ();
   }
 
-let slot_atomic t ~slot_id ~slot = t.slots.(((slot_id * t.slots_per_domain) + slot) * padding)
+let[@inline] slot_atomic t ~slot_id ~slot =
+  t.slots.(((slot_id * t.slots_per_domain) + slot) * padding)
 
 (* Register the calling domain; one handle per domain. *)
 let register t =
@@ -90,24 +91,27 @@ let register t =
     max_retired = 0;
   }
 
-let check_slot t slot =
+let[@inline] check_slot t slot =
   if slot < 0 || slot >= t.slots_per_domain then
     invalid_arg (Printf.sprintf "Hp: slot %d out of range [0, %d)" slot t.slots_per_domain)
 
 (* Publish [v] in the caller's hazard slot [slot]. The caller must then
    re-validate its source pointer before dereferencing [v]; on a failed
    validate, re-protect the fresh value and call [note_retry]. *)
-let protect h ~slot v =
+let[@inline] protect h ~slot v =
   check_slot h.t slot;
   Atomic.set (slot_atomic h.t ~slot_id:h.slot_id ~slot) v
 
-let clear h ~slot =
+let[@inline] clear h ~slot =
   check_slot h.t slot;
   Atomic.set (slot_atomic h.t ~slot_id:h.slot_id ~slot) empty_slot
 
+(* Only the owner writes its slots, so a slot read empty stays empty and
+   needs no write (each [Atomic.set] is a full barrier). *)
 let clear_all h =
   for slot = 0 to h.t.slots_per_domain - 1 do
-    Atomic.set (slot_atomic h.t ~slot_id:h.slot_id ~slot) empty_slot
+    let a = slot_atomic h.t ~slot_id:h.slot_id ~slot in
+    if Atomic.get a <> empty_slot then Atomic.set a empty_slot
   done
 
 let note_retry h = h.retry_count <- h.retry_count + 1
@@ -136,6 +140,9 @@ let protected_values t =
   done;
   !acc
 
+(* [List.mem] typed [int]: the polymorphic one compares through [compare_val]. *)
+let rec mem_int (v : int) = function [] -> false | x :: rest -> x = v || mem_int v rest
+
 let release_entry h (e : entry) =
   e.release ();
   h.released_count <- h.released_count + 1
@@ -149,7 +156,7 @@ let scan h =
   let keep = ref [] and keep_n = ref 0 in
   List.iter
     (fun (e : entry) ->
-      if List.mem e.value snapshot then begin
+      if mem_int e.value snapshot then begin
         keep := e :: !keep;
         incr keep_n
       end

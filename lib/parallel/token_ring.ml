@@ -78,7 +78,7 @@ let drain h k =
   in
   go k
 
-let pass t slot = Atomic.set t.token ((slot + 1) mod max 1 t.n_slots)
+let pass t slot = Atomic.set t.token ((slot + 1) mod Int.max 1 t.n_slots)
 
 let enter h =
   (match h.t.mode with Amortized k -> drain h k | Batch -> ());

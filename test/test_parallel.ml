@@ -25,6 +25,125 @@ let test_slab_exhaustion () =
   Parallel.Slab.free s b;
   Alcotest.(check bool) "reusable" true (Parallel.Slab.alloc s <> None)
 
+(* The lock-free slab against the list slab it replaced ([Slab_ref]): the
+   same script of allocs and frees, run on one domain, must hand out the
+   same block at every step and leave the same sequence numbers,
+   [free_blocks] and [live_blocks]. Bursts of allocs run the slab dry
+   (alloc returns [None]) and bursts of frees fill it back up. *)
+type slab_op = Alloc | Free of int  (* free the i-th held block, mod the count held *)
+
+let slab_script_arb =
+  let open QCheck.Gen in
+  let burst = pair (int_bound 12) (list_size (int_bound 12) (int_bound 1000)) in
+  let script =
+    list_size (int_range 1 12) burst
+    >|= List.concat_map (fun (allocs, frees) ->
+            List.init allocs (fun _ -> Alloc) @ List.map (fun i -> Free i) frees)
+  in
+  QCheck.make
+    ~print:(fun (blocks, ops) -> Printf.sprintf "<%d blocks, %d ops>" blocks (List.length ops))
+    (pair (int_range 1 10) script)
+
+let slab_matches_reference (blocks, ops) =
+  let s = Parallel.Slab.create ~blocks ~block_words:1 in
+  let r = Slab_ref.create ~blocks ~block_words:1 in
+  let same_state () =
+    Parallel.Slab.free_blocks s = Slab_ref.free_blocks r
+    && Parallel.Slab.live_blocks s = Slab_ref.live_blocks r
+    && List.for_all
+         (fun b -> Parallel.Slab.sequence s b = Slab_ref.sequence r b)
+         (List.init blocks Fun.id)
+  in
+  let rec go held = function
+    | [] -> true
+    | Alloc :: rest ->
+        let got = Parallel.Slab.alloc s in
+        got = Slab_ref.alloc r && same_state ()
+        && go (match got with Some b -> held @ [ b ] | None -> held) rest
+    | Free _ :: rest when held = [] -> go held rest
+    | Free i :: rest ->
+        let b = List.nth held (i mod List.length held) in
+        Parallel.Slab.free s b;
+        Slab_ref.free r b;
+        same_state () && go (List.filter (( <> ) b) held) rest
+  in
+  go [] ops
+
+let prop_slab_matches_reference =
+  Helpers.prop ~count:300 "slab matches list reference" slab_script_arb slab_matches_reference
+
+(* Two domains share a 3-block slab, each holding up to two blocks at a
+   time, so the slab runs dry. A per-block owner flag catches a block
+   handed to both; at the end every block is back and each free bumped
+   exactly one sequence number. This checks exclusion and conservation
+   under real contention, not ABA safety: the pop's stale-link window is
+   a few instructions wide, and the test passes with the tag removed, so
+   ABA safety rests on the tag argument in lib/parallel/slab.ml. *)
+let test_slab_two_domain_stress () =
+  let blocks = 3 and rounds = 100_000 in
+  let slab = Parallel.Slab.create ~blocks ~block_words:1 in
+  let owner = Array.init blocks (fun _ -> Atomic.make 0) in
+  let held_twice = Atomic.make 0 and frees = Atomic.make 0 in
+  let take id = function
+    | Some b as got ->
+        if not (Atomic.compare_and_set owner.(b) 0 id) then Atomic.incr held_twice;
+        got
+    | None -> None
+  in
+  let give = function
+    | Some b ->
+        Atomic.set owner.(b) 0;
+        Parallel.Slab.free slab b;
+        Atomic.incr frees
+    | None -> ()
+  in
+  let worker id () =
+    for _ = 1 to rounds do
+      let a = take id (Parallel.Slab.alloc slab) in
+      let b = take id (Parallel.Slab.alloc slab) in
+      give b;
+      give a
+    done
+  in
+  let ds = [ Domain.spawn (worker 1); Domain.spawn (worker 2) ] in
+  List.iter Domain.join ds;
+  Alcotest.(check int) "no block held twice" 0 (Atomic.get held_twice);
+  Alcotest.(check int) "every block back" blocks (Parallel.Slab.free_blocks slab);
+  Alcotest.(check int) "nothing live" 0 (Parallel.Slab.live_blocks slab);
+  let seq_sum = List.fold_left (fun a b -> a + Parallel.Slab.sequence slab b) 0 (List.init blocks Fun.id) in
+  Alcotest.(check int) "one sequence bump per free" (Atomic.get frees) seq_sum
+
+(* A block freed twice makes the free stack's links cycle: [free_blocks]
+   fails naming the slab instead of walking forever (the list slab
+   counted [capacity + 1]). *)
+let test_slab_double_free () =
+  let s = Parallel.Slab.create ~blocks:4 ~block_words:1 in
+  let b = Option.get (Parallel.Slab.alloc s) in
+  Parallel.Slab.free s b;
+  Parallel.Slab.free s b;
+  match Parallel.Slab.free_blocks s with
+  | n -> Alcotest.failf "free_blocks counted %d after a double free" n
+  | exception Failure msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "message names the slab and the misuse: %s" msg)
+        true
+        (Helpers.contains msg "Slab.free_blocks" && Helpers.contains msg "4-block slab"
+        && Helpers.contains msg "freed twice")
+
+(* The head packs an ABA tag above the block index; [create] refuses a
+   slab whose index would leave the tag fewer than 32 bits, before it
+   allocates anything. The block size makes the buffer's word count
+   overflow to a negative number, so a slab that got past the check would
+   fail in [Bigarray] with another message instead of allocating. *)
+let test_slab_rejects_narrow_tag () =
+  match Parallel.Slab.create ~blocks:(1 lsl 31) ~block_words:((1 lsl 31) - 1) with
+  | _ -> Alcotest.fail "a 2^31-block slab was accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "message names the tag: %s" msg)
+        true
+        (Helpers.contains msg "Slab.create" && Helpers.contains msg "tag")
+
 let test_stack_sequential () =
   let st = Parallel.Treiber_stack.create () in
   Alcotest.(check bool) "empty" true (Parallel.Treiber_stack.is_empty st);
@@ -478,6 +597,10 @@ let suite =
     [
       Helpers.quick "slab_basics" test_slab_basics;
       Helpers.quick "slab_exhaustion" test_slab_exhaustion;
+      prop_slab_matches_reference;
+      Helpers.quick "slab_two_domain_stress" test_slab_two_domain_stress;
+      Helpers.quick "slab_double_free" test_slab_double_free;
+      Helpers.quick "slab_rejects_narrow_tag" test_slab_rejects_narrow_tag;
       Helpers.quick "stack_sequential" test_stack_sequential;
       Helpers.quick "sequence_detects_recycling" test_sequence_detects_recycling;
       Helpers.quick "ebr_single_domain_protocol" test_ebr_single_domain_protocol;
