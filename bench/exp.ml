@@ -19,7 +19,7 @@ let thread_counts =
 (* The ten reclaimers of the paper's evaluation plus the leaky baseline, in
    the paper's presentation order. *)
 let all_reclaimers =
-  [ "token_af"; "debra_af"; "nbr+"; "nbr"; "ibr"; "rcu"; "qsbr"; "debra"; "wfe"; "he"; "hp"; "none" ]
+  [ "token_af"; "debra_af"; "nbr+"; "nbr"; "ibr"; "rcu"; "qsbr"; "debra"; "wfe"; "he"; "hazard"; "none" ]
 
 let base =
   {

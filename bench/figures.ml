@@ -307,8 +307,8 @@ let fig11a ?(ds = "abtree") ?(topology = Simcore.Topology.intel_192t) ?(counts =
   note "Shape checks (paper Fig 11a, at the highest thread count):";
   shape_check ~what:"token_af beats nbr+ (paper ~1.7x avg)" ~paper:1.7
     ~measured:(ratio (at192 "token_af") (at192 "nbr+"));
-  shape_check ~what:"token_af beats hp by a large factor (7-9x)" ~paper:8.
-    ~measured:(ratio (at192 "token_af") (at192 "hp"));
+  shape_check ~what:"token_af beats hazard by a large factor (7-9x)" ~paper:8.
+    ~measured:(ratio (at192 "token_af") (at192 "hazard"));
   shape_check ~what:"token_af beats leaking (none)" ~paper:1.35
     ~measured:(ratio (at192 "token_af") (at192 "none"));
   shape_check ~what:"debra_af also beats none" ~paper:1.2
@@ -317,7 +317,7 @@ let fig11a ?(ds = "abtree") ?(topology = Simcore.Topology.intel_192t) ?(counts =
 (* ------------------------------------------------------------------ *)
 (* Experiment 2 (Fig 11b): ORIG vs AF for all ten algorithms.         *)
 (* ------------------------------------------------------------------ *)
-let orig_algorithms = [ "debra"; "he"; "hp"; "ibr"; "nbr"; "nbr+"; "qsbr"; "rcu"; "token"; "wfe" ]
+let orig_algorithms = [ "debra"; "hazard"; "he"; "ibr"; "nbr"; "nbr+"; "qsbr"; "rcu"; "token"; "wfe" ]
 
 let fig11b ?(ds = "abtree") ?(topology = Simcore.Topology.intel_192t) ?(threads = 192) () =
   section

@@ -15,11 +15,12 @@ let usage () =
   List.iter (fun (id, _) -> Printf.printf "  %s\n" id) (Figures.all_figures @ Figures.extras)
 
 (* The cheapest representative subset, for CI: exercises the full
-   config -> runner -> figure -> shape-check pipeline in well under a
-   minute with QUICK=1 (`make bench-smoke`). [ablate-allocfix] is the
-   one experiment that runs batch-aware JEmalloc (footnote 3) against
-   the stock model. *)
-let smoke_ids = [ "fig1"; "ablate-allocfix" ]
+   config -> runner -> figure -> shape-check pipeline in under a minute
+   with QUICK=1 (`make bench-smoke`). [ablate-allocfix] is the one
+   experiment that runs batch-aware JEmalloc (footnote 3) against the
+   stock model; [fig11b] runs each of the paper's ten reclaimers, batch
+   and AF, at 192 threads. *)
+let smoke_ids = [ "fig1"; "ablate-allocfix"; "fig11b" ]
 
 let rec run_one id =
   match List.assoc_opt id (Figures.all_figures @ Figures.extras) with

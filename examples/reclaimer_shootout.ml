@@ -20,7 +20,7 @@ let () =
     }
   in
   let reclaimers =
-    [ "token_af"; "debra_af"; "nbr+"; "nbr"; "ibr"; "rcu"; "qsbr"; "debra"; "token"; "wfe"; "he"; "hp"; "none" ]
+    [ "token_af"; "debra_af"; "nbr+"; "nbr"; "ibr"; "rcu"; "qsbr"; "debra"; "token"; "wfe"; "he"; "hazard"; "none" ]
   in
   Printf.printf "Reclaimer shootout: %s, %d threads, 50%% insert / 50%% delete\n\n%!" ds threads;
   let results =

@@ -1,4 +1,5 @@
-(** The buffered reclaimer family: HP, HE, WFE, IBR, RCU, NBR and NBR+.
+(** The buffered reclaimer family: HE, WFE, IBR, RCU, NBR, NBR+ and
+    Hyaline, as cost models (hazard pointers are {!Hazard}).
 
     All accumulate retired objects into a per-thread buffer and, when it
     reaches [buffer_size], run a {e reclamation pass} whose cost is
@@ -24,27 +25,24 @@ type spec = {
 
 val make : spec -> ctx -> t
 
-val hp : ?buffer_size:int -> ctx -> t
-(** Hazard pointers (Michael): fenced publication per traversed node. *)
-
-val he : ?buffer_size:int -> ctx -> t
+val he : buffer_size:int -> ctx -> t
 (** Hazard eras (Ramalhete & Correia). *)
 
-val wfe : ?buffer_size:int -> ctx -> t
+val wfe : buffer_size:int -> ctx -> t
 (** Wait-free eras (Nikolaev & Ravindran): era costs plus helping. *)
 
-val ibr : ?buffer_size:int -> ctx -> t
+val ibr : buffer_size:int -> ctx -> t
 (** Interval based reclamation (2GE-IBR, Wen et al.). *)
 
-val rcu : ?buffer_size:int -> ctx -> t
+val rcu : buffer_size:int -> ctx -> t
 (** RCU in the style of Hart et al.: reader announcements per operation,
     reader-state scan per pass. *)
 
-val nbr : ?buffer_size:int -> ctx -> t
+val nbr : buffer_size:int -> ctx -> t
 (** Neutralization based reclamation (Singh et al.): signals per pass. *)
 
-val nbr_plus : ?buffer_size:int -> ctx -> t
+val nbr_plus : buffer_size:int -> ctx -> t
 (** NBR+: published reservations avoid most signals. *)
 
-val hyaline : ?buffer_size:int -> ctx -> t
+val hyaline : buffer_size:int -> ctx -> t
 (** Hyaline (Nikolaev & Ravindran): reference-counted batch handoff. *)

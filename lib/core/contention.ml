@@ -5,7 +5,7 @@
    publication invalidates up to n copies. We model the cost of writing (or
    remotely reading) such a slot as a base cost multiplied by a factor that
    grows linearly with the number of participating threads, saturating the
-   observed behaviour that heavily-synchronizing reclaimers (hp, he, wfe)
+   observed behaviour that heavily-synchronizing reclaimers (hazard, he, wfe)
    stop scaling: their per-operation cost grows with n, so their aggregate
    throughput flattens (paper Fig 11a). *)
 

@@ -3,7 +3,7 @@
     Hazard pointers and eras are written on the hot path and read by every
     reclamation scan: their cache lines are true-shared, so publication cost
     grows with the number of participating threads. This is why
-    heavily-synchronizing reclaimers (hp, he, wfe) stop scaling in the
+    heavily-synchronizing reclaimers (hazard, he, wfe) stop scaling in the
     paper's Figure 11a. Plain epoch announcements are charged unscaled. *)
 
 val coefficient : float

@@ -34,14 +34,11 @@ type t = {
 }
 
 let epoch_read_cost = 4
+let held st = Array.fold_left (fun acc b -> acc + Vec.length b) 0 st.bags
 
 let enter_epoch t st (th : Sched.thread) e =
   (* Report garbage held on epoch entry (paper Fig 4). *)
-  let held = Array.fold_left (fun acc b -> acc + Vec.length b) 0 st.bags in
-  th.Sched.hooks.Sched.on_epoch_garbage ~epoch:e ~count:held;
-  (let tr = Sched.tracer th.Sched.sched in
-   if Tracer.enabled tr then
-     Tracer.instant tr Tracer.Epoch_garbage ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:held ~b:e);
+  Smr_intf.epoch_garbage th ~epoch:e ~held:(held st);
   st.announced <- e;
   Contention.charge th (Sched.cost t.ctx.Smr_intf.sched).Cost_model.announce;
   (* Dispose every bag three or more epochs old, then pick a bag for e.
@@ -92,12 +89,7 @@ let try_advance t st (th : Sched.thread) e =
       if t.epoch = e then begin
         t.epoch <- e + 1;
         Contention.charge th cost.Cost_model.announce;
-        th.Sched.metrics.Metrics.epochs <- th.Sched.metrics.Metrics.epochs + 1;
-        (let tr = Sched.tracer th.Sched.sched in
-         if Tracer.enabled tr then
-           Tracer.instant tr Tracer.Epoch_advance ~tid:th.Sched.tid ~ts:(Sched.now th)
-             ~a:(e + 1) ~b:0);
-        th.Sched.hooks.Sched.on_epoch_advance ~time:(Sched.now th) ~epoch:(e + 1)
+        Smr_intf.epoch_advance th ~epoch:(e + 1)
       end;
       st.scan_idx <- (th.Sched.tid + 1) mod n
     end
@@ -119,50 +111,28 @@ let begin_op t (th : Sched.thread) =
 
 let retire t (th : Sched.thread) h =
   let st = t.states.(th.Sched.tid) in
-  Contention.charge th (Sched.cost t.ctx.Smr_intf.sched).Cost_model.retire;
-  (match t.ctx.Smr_intf.safety with
-  | Some s -> Safety.note_retire s ~handle:h ~time:(Sched.now th)
-  | None -> ());
-  Vec.push st.bags.(st.cur) h;
-  th.Sched.metrics.Metrics.retires <- th.Sched.metrics.Metrics.retires + 1;
-  let tr = Sched.tracer th.Sched.sched in
-  if Tracer.enabled tr then
-    Tracer.instant tr Tracer.Retire ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:h ~b:0
+  Smr_intf.note_retire t.ctx th h;
+  Vec.push st.bags.(st.cur) h
 
 (* Deregistration: the dying thread's limbo bags have not finished their
    grace period, so they are adopted into the next live thread's *current*
    bag — picking up that bag's (younger) epoch tag, i.e. conservatively
    restarting the wait. The announcement slot needs no write: [try_advance]
    skips dead threads. With no live successor the bags stay parked under
-   the dead tid, still counted by [garbage_of]. *)
+   the dead tid, still counted by [total_garbage]. *)
 let on_thread_exit t (th : Sched.thread) =
-  let sched = t.ctx.Smr_intf.sched in
-  let n = Sched.n_threads sched in
-  let tid = th.Sched.tid in
-  let st = t.states.(tid) in
-  let next_live =
-    let rec go k remaining =
-      if remaining = 0 then -1
-      else
-        let next = (k + 1) mod n in
-        if (Sched.thread sched next).Sched.alive then next else go next (remaining - 1)
-    in
-    go tid (n - 1)
-  in
+  let st = t.states.(th.Sched.tid) in
+  let next_live = Smr_intf.next_live t.ctx th.Sched.tid in
   if next_live >= 0 then begin
     let dst = t.states.(next_live) in
-    let moved = ref 0 in
+    let moved = held st in
     for i = 0 to bags_per_thread - 1 do
-      if Vec.length st.bags.(i) > 0 then begin
-        moved := !moved + Vec.length st.bags.(i);
-        Vec.append dst.bags.(dst.cur) st.bags.(i);
-        Vec.clear st.bags.(i)
-      end;
+      Vec.append dst.bags.(dst.cur) st.bags.(i);
+      Vec.clear st.bags.(i);
       st.bag_epoch.(i) <- -1
     done;
     st.bag_epoch.(st.cur) <- st.announced;
-    if !moved > 0 then
-      Sched.work th Metrics.Smr t.ctx.Smr_intf.policy.Free_policy.splice_cost
+    if moved > 0 then Sched.work th Metrics.Smr t.ctx.Smr_intf.policy.Free_policy.splice_cost
   end
 
 let make ~name ~check_every ~announce_every_op (ctx : Smr_intf.ctx) =
@@ -195,10 +165,6 @@ let make ~name ~check_every ~announce_every_op (ctx : Smr_intf.ctx) =
     begin_op t th;
     t.announce.(th.Sched.tid) <- t.states.(th.Sched.tid).announced
   in
-  let garbage_of tid =
-    Array.fold_left (fun acc b -> acc + Vec.length b) 0 t.states.(tid).bags
-    + Free_policy.pending ctx.Smr_intf.policy tid
-  in
   {
     Smr_intf.name;
     begin_op;
@@ -207,18 +173,11 @@ let make ~name ~check_every ~announce_every_op (ctx : Smr_intf.ctx) =
     on_thread_exit = on_thread_exit t;
     per_node_ns = 0;
     uses_grace_periods = true;
-    garbage_of;
-    total_garbage =
-      (fun () ->
-        let sum = ref 0 in
-        for tid = 0 to n - 1 do
-          sum := !sum + garbage_of tid
-        done;
-        !sum);
+    total_garbage = Smr_intf.total_garbage ctx (fun tid -> held t.states.(tid));
   }
 
 (* DEBRA: announce only on epoch change, scan one slot every few ops. *)
-let debra ?(check_every = 3) ctx = make ~name:"debra" ~check_every ~announce_every_op:false ctx
+let debra ~check_every ctx = make ~name:"debra" ~check_every ~announce_every_op:false ctx
 
 (* Quiescent state based reclamation: announce quiescence on every operation
    and check a slot on every operation. *)

@@ -12,9 +12,9 @@
 val make :
   name:string -> check_every:int -> announce_every_op:bool -> Smr_intf.ctx -> Smr_intf.t
 
-val debra : ?check_every:int -> Smr_intf.ctx -> Smr_intf.t
+val debra : check_every:int -> Smr_intf.ctx -> Smr_intf.t
 (** DEBRA: announce only on epoch change; scan one slot every
-    [check_every] (default 3) operations. *)
+    [check_every] operations. *)
 
 val qsbr : Smr_intf.ctx -> Smr_intf.t
 (** Quiescent-state based reclamation: announce quiescence and check a slot

@@ -41,6 +41,15 @@ let free_one t (th : Sched.thread) h =
   | None -> ());
   t.alloc.Alloc.Alloc_intf.free th h
 
+(* Report a batch of [count] frees that began at [start] and ends now. *)
+let reclaimed (th : Sched.thread) ~start ~count =
+  let stop = Sched.now th in
+  (let tr = Sched.tracer th.Sched.sched in
+   if Tracer.enabled tr then
+     Tracer.span tr Tracer.Reclaim ~tid:th.Sched.tid ~ts:start ~dur:(stop - start) ~a:count
+       ~b:0);
+  th.Sched.hooks.Sched.on_reclaim_event ~start ~stop ~count
+
 (* Hand over a batch that the SMR has proven safe. Consumes [bag]. *)
 let dispose t (th : Sched.thread) bag =
   let count = Vec.length bag in
@@ -50,12 +59,7 @@ let dispose t (th : Sched.thread) bag =
         let start = Sched.now th in
         Vec.iter (fun h -> free_one t th h) bag;
         Vec.clear bag;
-        let stop = Sched.now th in
-        (let tr = Sched.tracer th.Sched.sched in
-         if Tracer.enabled tr then
-           Tracer.span tr Tracer.Reclaim ~tid:th.Sched.tid ~ts:start ~dur:(stop - start)
-             ~a:count ~b:0);
-        th.Sched.hooks.Sched.on_reclaim_event ~start ~stop ~count
+        reclaimed th ~start ~count
     | Amortized _ ->
         Sched.work th Metrics.Smr t.splice_cost;
         Vec.append t.freeable.(th.Sched.tid) bag;

@@ -27,6 +27,10 @@ val create :
 val free_one : t -> Sched.thread -> int -> unit
 (** Free a single object through the safety validator. *)
 
+val reclaimed : Sched.thread -> start:int -> count:int -> unit
+(** Report a batch of [count] frees that began at [start] and ends now: a
+    [Reclaim] trace span and the thread's [on_reclaim_event] hook. *)
+
 val dispose : t -> Sched.thread -> Vec.t -> unit
 (** Hand over a safe batch; consumes (clears) the bag. Under [Batch] this
     frees everything now and reports a reclamation event to the thread's

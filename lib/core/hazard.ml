@@ -1,5 +1,5 @@
-(* Hazard-pointer SMR (Michael) — the first genuine non-epoch reclaimer in
-   the zoo, as opposed to [Buffered.hp] which only reproduces HP's *costs*.
+(* Hazard-pointer SMR (Michael) — the genuine non-epoch reclaimer in the
+   zoo, registered as "hazard".
 
    Real HP publishes the address of every node a thread is about to read
    into a per-thread hazard slot; a scan frees exactly the retired objects
@@ -31,10 +31,10 @@
 
    The protect/validate loop is charged, not simulated: publication of a
    hazard pointer per visited node is [per_node_ns] (contention-scaled by
-   the runtime, like [Buffered.hp]), and a protect loop re-runs — an extra
-   publication plus re-read — whenever another thread retired something
-   since this thread's previous operation, the observable proxy for "the
-   pointer changed under us". Retries land in the [hp_protect_retries]
+   the runtime), and a protect loop re-runs — an extra publication plus
+   re-read — whenever another thread retired something since this
+   thread's previous operation, the observable proxy for "the pointer
+   changed under us". Retries land in the [hp_protect_retries]
    counter and as [Hp_protect] trace instants; scans in [hp_scans] and
    [Hp_scan] spans; the retire-list high-water mark in [max_retired]. *)
 
@@ -92,22 +92,14 @@ let begin_op t (th : Sched.thread) =
   end
 
 let retire t (th : Sched.thread) h =
-  let tid = th.Sched.tid in
-  let st = t.states.(tid) in
-  Contention.charge th (Sched.cost t.ctx.Smr_intf.sched).Cost_model.retire;
-  (match t.ctx.Smr_intf.safety with
-  | Some s -> Safety.note_retire s ~handle:h ~time:(Sched.now th)
-  | None -> ());
+  let st = t.states.(th.Sched.tid) in
+  Smr_intf.note_retire t.ctx th h;
   Vec.push st.rl_handle h;
   Vec.push st.rl_time (Sched.now th);
   t.total_retires <- t.total_retires + 1;
-  th.Sched.metrics.Metrics.retires <- th.Sched.metrics.Metrics.retires + 1;
   let len = Vec.length st.rl_handle in
   if len > th.Sched.metrics.Metrics.max_retired then
-    th.Sched.metrics.Metrics.max_retired <- len;
-  let tr = Sched.tracer th.Sched.sched in
-  if Tracer.enabled tr then
-    Tracer.instant tr Tracer.Retire ~tid ~ts:(Sched.now th) ~a:h ~b:0
+    th.Sched.metrics.Metrics.max_retired <- len
 
 (* One scan: read every published slot, then decide each retired entry
    individually. Counted as a reclamation pass in [epochs] like the
@@ -140,17 +132,9 @@ let scan t (th : Sched.thread) st =
   st.keep_handle <- rh;
   st.keep_time <- rt;
   th.Sched.metrics.Metrics.hp_scans <- th.Sched.metrics.Metrics.hp_scans + 1;
-  th.Sched.metrics.Metrics.epochs <- th.Sched.metrics.Metrics.epochs + 1;
-  (let tr = Sched.tracer th.Sched.sched in
-   if Tracer.enabled tr then begin
-     Tracer.instant tr Tracer.Epoch_advance ~tid ~ts:(Sched.now th)
-       ~a:th.Sched.metrics.Metrics.epochs ~b:0;
-     Tracer.instant tr Tracer.Epoch_garbage ~tid ~ts:(Sched.now th) ~a:entering
-       ~b:th.Sched.metrics.Metrics.epochs
-   end);
-  th.Sched.hooks.Sched.on_epoch_advance ~time:(Sched.now th)
-    ~epoch:th.Sched.metrics.Metrics.epochs;
-  th.Sched.hooks.Sched.on_epoch_garbage ~epoch:th.Sched.metrics.Metrics.epochs ~count:entering;
+  let epoch = th.Sched.metrics.Metrics.epochs + 1 in
+  Smr_intf.epoch_advance th ~epoch;
+  Smr_intf.epoch_garbage th ~epoch ~held:entering;
   Free_policy.dispose t.ctx.Smr_intf.policy th st.scratch;
   let tr = Sched.tracer th.Sched.sched in
   if Tracer.enabled tr then
@@ -172,23 +156,13 @@ let end_op t (th : Sched.thread) =
    treating its last operation as forever in flight — and hand its retire
    list to the next live thread (orphan adoption, scanned at the adopter's
    next threshold scan, retire times preserved). With no live successor the
-   list stays parked under the dead tid, still counted by [garbage_of]. *)
+   list stays parked under the dead tid, still counted by [total_garbage]. *)
 let on_thread_exit t (th : Sched.thread) =
-  let sched = t.ctx.Smr_intf.sched in
-  let n = Sched.n_threads sched in
   let tid = th.Sched.tid in
   let st = t.states.(tid) in
   t.op_start.(tid) <- max_int;
   Contention.charge th t.clear_slots_ns;
-  let next_live =
-    let rec go k remaining =
-      if remaining = 0 then -1
-      else
-        let next = (k + 1) mod n in
-        if (Sched.thread sched next).Sched.alive then next else go next (remaining - 1)
-    in
-    go tid (n - 1)
-  in
+  let next_live = Smr_intf.next_live t.ctx tid in
   if next_live >= 0 && Vec.length st.rl_handle > 0 then begin
     let dst = t.states.(next_live) in
     Sched.work th Metrics.Smr t.ctx.Smr_intf.policy.Free_policy.splice_cost;
@@ -198,12 +172,12 @@ let on_thread_exit t (th : Sched.thread) =
     Vec.clear st.rl_time
   end
 
-let make ?(scan_threshold = 384) (ctx : Smr_intf.ctx) =
+let make ~scan_threshold (ctx : Smr_intf.ctx) =
   let n = Sched.n_threads ctx.Smr_intf.sched in
   let t =
     {
       ctx;
-      scan_threshold = max 1 scan_threshold;
+      scan_threshold;
       protect_retry_ns = 75;
       clear_slots_ns = 10;
       op_start = Array.make n max_int;
@@ -220,9 +194,6 @@ let make ?(scan_threshold = 384) (ctx : Smr_intf.ctx) =
             });
     }
   in
-  let garbage_of tid =
-    Vec.length t.states.(tid).rl_handle + Free_policy.pending ctx.Smr_intf.policy tid
-  in
   {
     Smr_intf.name = "hazard";
     begin_op = begin_op t;
@@ -234,12 +205,5 @@ let make ?(scan_threshold = 384) (ctx : Smr_intf.ctx) =
        freed only when no other in-flight op predates its retirement), so
        the validator is a genuine oracle for this reclaimer. *)
     uses_grace_periods = true;
-    garbage_of;
-    total_garbage =
-      (fun () ->
-        let sum = ref 0 in
-        for tid = 0 to n - 1 do
-          sum := !sum + garbage_of tid
-        done;
-        !sum);
+    total_garbage = Smr_intf.total_garbage ctx (fun tid -> Vec.length t.states.(tid).rl_handle);
   }

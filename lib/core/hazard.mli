@@ -1,6 +1,5 @@
-(** Hazard-pointer SMR (Michael) — the first genuine non-epoch reclaimer in
-    the zoo (registry name ["hazard"]; [Buffered.hp] only reproduces HP's
-    {e costs} inside the buffered two-generation scheme).
+(** Hazard-pointer SMR (Michael), the genuine non-epoch reclaimer in the
+    zoo (registry name ["hazard"]).
 
     Retired objects go to a per-thread retire list tagged with their retire
     time; when the list reaches [scan_threshold] the thread scans every
@@ -26,7 +25,7 @@ val slots_per_thread : int
 (** Published hazard slots per thread; a scan reads [slots_per_thread * n]
     slots. *)
 
-val make : ?scan_threshold:int -> Smr_intf.ctx -> Smr_intf.t
-(** [make ?scan_threshold ctx] is the ["hazard"] reclaimer; a scan runs
-    when a thread's retire list reaches [scan_threshold] (default [384],
-    clamped to at least [1]; the registry wires [--buffer-size] here). *)
+val make : scan_threshold:int -> Smr_intf.ctx -> Smr_intf.t
+(** [make ~scan_threshold ctx] is the ["hazard"] reclaimer; a scan runs
+    when a thread's retire list reaches [scan_threshold] (the registry
+    wires the config's [buffer_size] here). *)

@@ -6,7 +6,10 @@
     (thread churn). [per_node_ns] is the protection cost imposed on every node an
     operation traverses (hazard-pointer publication etc.); the runtime
     charges it — contention-scaled — because only the data structure knows
-    how many nodes were visited. *)
+    how many nodes were visited.
+
+    The functions after the types are the bookkeeping every reclaimer
+    shares, so each reported fact has one emission site. *)
 
 open Simcore
 
@@ -22,8 +25,8 @@ type t = {
   per_node_ns : int;
   uses_grace_periods : bool;
       (** true for schemes whose safety the grace-period validator checks *)
-  garbage_of : int -> int;  (** unreclaimed objects held for a thread *)
   total_garbage : unit -> int;
+      (** retired or safe-but-unfreed objects, over every thread *)
 }
 
 (** Everything a reclaimer implementation needs. *)
@@ -34,4 +37,40 @@ type ctx = {
   safety : Safety.t option;
 }
 
-val n_threads : ctx -> int
+val count_retire : Sched.thread -> int -> unit
+(** Count a retire in [metrics.retires] and trace it as a [Retire]
+    instant. *)
+
+val note_retire : ctx -> Sched.thread -> int -> unit
+(** A reclaimer's retire: charge [Cost_model.retire], tell the validator,
+    then {!count_retire}. *)
+
+val epoch_advance : Sched.thread -> epoch:int -> unit
+(** Count an epoch (or reclamation pass) in [metrics.epochs], trace it as
+    an [Epoch_advance] instant and report it to [on_epoch_advance]. *)
+
+val epoch_garbage : Sched.thread -> epoch:int -> held:int -> unit
+(** Report [held] objects awaiting their grace period at [epoch]: an
+    [Epoch_garbage] instant and [on_epoch_garbage]. *)
+
+val next_live : ctx -> int -> int
+(** The next live thread after a tid on the ring; [-1] if none. *)
+
+val total_garbage : ctx -> (int -> int) -> unit -> int
+(** [total_garbage ctx held_by] sums, over every thread, the objects the
+    reclaimer holds for it plus the free policy's pending ones. *)
+
+(** A per-thread two-generation limbo bag: a pass frees [prev], whose
+    objects have waited a full pass interval. *)
+type generations = { mutable cur : Vec.t; mutable prev : Vec.t }
+
+val generations : unit -> generations
+val held : generations -> int
+
+val rotate : generations -> Vec.t
+(** Open a new generation: [cur] becomes [prev] and the old [prev],
+    returned for the caller to dispose, becomes [cur]. *)
+
+val hand_off : ctx -> Sched.thread -> generations array -> unit
+(** Deregistration: move the leaving thread's generations into the next
+    live thread's [cur], paying the policy's splice cost. *)

@@ -1,7 +1,8 @@
-(* Reclaimers by name: the ten algorithms of the paper's evaluation, the
-   Token-EBR development variants, the genuine hazard-pointer reclaimer and
-   the leaky/unsafe baselines. A "<name>_af" suffix selects the
-   amortized-free variant of any algorithm; the policy itself is
+(* Reclaimers by name: the ten algorithms of the paper's evaluation
+   (hazard pointers as the genuine reclaimer "hazard"; he, wfe, ibr, rcu,
+   nbr and nbr+ as cost models), the Token-EBR development variants, the
+   Hyaline cost model and the leaky/unsafe baselines. A "<name>_af" suffix
+   selects the amortized-free variant of any algorithm; the policy itself is
    constructed by the caller (the runtime), so this module only maps names
    to constructors.
 
@@ -24,9 +25,6 @@ let table : (string * string * (params -> Smr_intf.ctx -> Smr_intf.t)) list =
     ( "he",
       "hazard eras cost model (Ramalhete & Correia)",
       fun p -> Buffered.he ~buffer_size:p.buffer_size );
-    ( "hp",
-      "hazard pointers cost model in the buffered family (Michael)",
-      fun p -> Buffered.hp ~buffer_size:p.buffer_size );
     ( "ibr",
       "interval-based reclamation cost model (2GE-IBR, Wen et al.)",
       fun p -> Buffered.ibr ~buffer_size:p.buffer_size );
@@ -44,7 +42,7 @@ let table : (string * string * (params -> Smr_intf.ctx -> Smr_intf.t)) list =
       "wait-free eras cost model (Nikolaev & Ravindran)",
       fun p -> Buffered.wfe ~buffer_size:p.buffer_size );
     ( "hazard",
-      "genuine hazard pointers: per-object frees at slot scans",
+      "hazard pointers (Michael): per-object frees at slot scans",
       fun p -> Hazard.make ~scan_threshold:p.buffer_size );
     ("none", "leak everything (the paper's false upper bound)", fun _ -> None_smr.make);
     ( "token-naive",

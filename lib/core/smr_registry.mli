@@ -1,6 +1,6 @@
-(** Reclaimers by name: the ten algorithms of the paper's evaluation, the
-    Token-EBR development variants, the genuine hazard-pointer reclaimer
-    ({!Hazard}) and the leaky/unsafe baselines.
+(** Reclaimers by name: the ten algorithms of the paper's evaluation
+    (hazard pointers as the genuine {!Hazard}), the Token-EBR development
+    variants and the leaky/unsafe baselines.
 
     A single constructor table is the source of truth: {!names}, {!make}
     and the unknown-name error all derive from it, so registering a new

@@ -27,18 +27,12 @@ let variant_name = function
   | Pass_first -> "token-passfirst"
   | Periodic _ -> "token"
 
-type thread_state = {
-  mutable cur : Vec.t;
-  mutable prev : Vec.t;
-  mutable receipts : int;
-}
-
 type t = {
   ctx : Smr_intf.ctx;
   variant : variant;
   mutable holder : int;  (* tid currently holding the token *)
   mutable rounds : int;  (* completed trips around the ring *)
-  states : thread_state array;
+  states : Smr_intf.generations array;
 }
 
 let token_check_cost = 4
@@ -78,50 +72,26 @@ let free_bag_periodic t (th : Sched.thread) bag k =
       end)
     bag;
   Vec.clear bag;
-  if count > 0 then begin
-    let stop = Sched.now th in
-    (let tr = Sched.tracer th.Sched.sched in
-     if Tracer.enabled tr then
-       Tracer.span tr Tracer.Reclaim ~tid:th.Sched.tid ~ts:start ~dur:(stop - start) ~a:count
-         ~b:0);
-    th.Sched.hooks.Sched.on_reclaim_event ~start ~stop ~count
-  end
+  if count > 0 then Free_policy.reclaimed th ~start ~count
 
 let on_token t st (th : Sched.thread) =
-  st.receipts <- st.receipts + 1;
-  th.Sched.metrics.Metrics.epochs <- th.Sched.metrics.Metrics.epochs + 1;
-  (let tr = Sched.tracer th.Sched.sched in
-   if Tracer.enabled tr then begin
-     Tracer.instant tr Tracer.Epoch_advance ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:t.rounds
-       ~b:0;
-     Tracer.instant tr Tracer.Epoch_garbage ~tid:th.Sched.tid ~ts:(Sched.now th)
-       ~a:(Vec.length st.cur + Vec.length st.prev)
-       ~b:t.rounds
-   end);
-  th.Sched.hooks.Sched.on_epoch_advance ~time:(Sched.now th) ~epoch:t.rounds;
-  th.Sched.hooks.Sched.on_epoch_garbage ~epoch:t.rounds
-    ~count:(Vec.length st.cur + Vec.length st.prev);
+  Smr_intf.epoch_advance th ~epoch:t.rounds;
+  Smr_intf.epoch_garbage th ~epoch:t.rounds ~held:(Smr_intf.held st);
   match t.variant with
   | Naive ->
       (* Free first, pass after: the next thread cannot free (or even see
          the token) until we are completely done. *)
-      Free_policy.dispose t.ctx.Smr_intf.policy th st.prev;
-      let empty = st.prev in
-      st.prev <- st.cur;
-      st.cur <- empty;
+      Free_policy.dispose t.ctx.Smr_intf.policy th st.Smr_intf.prev;
+      ignore (Smr_intf.rotate st : Vec.t);
       pass_token t th
   | Pass_first ->
       (* The old previous bag becomes the new current bag: it is emptied by
          the dispose below, and no same-thread retire can interleave. *)
-      let stash = st.prev in
-      st.prev <- st.cur;
-      st.cur <- stash;
+      let stash = Smr_intf.rotate st in
       pass_token t th;
       Free_policy.dispose t.ctx.Smr_intf.policy th stash
   | Periodic k -> (
-      let stash = st.prev in
-      st.prev <- st.cur;
-      st.cur <- stash;
+      let stash = Smr_intf.rotate st in
       pass_token t th;
       match t.ctx.Smr_intf.policy.Free_policy.mode with
       | Free_policy.Batch -> free_bag_periodic t th stash k
@@ -137,49 +107,18 @@ let begin_op t (th : Sched.thread) =
     t.holder <- th.Sched.tid
 
 let retire t (th : Sched.thread) h =
-  let st = t.states.(th.Sched.tid) in
-  Contention.charge th (Sched.cost t.ctx.Smr_intf.sched).Cost_model.retire;
-  (match t.ctx.Smr_intf.safety with
-  | Some s -> Safety.note_retire s ~handle:h ~time:(Sched.now th)
-  | None -> ());
-  Vec.push st.cur h;
-  th.Sched.metrics.Metrics.retires <- th.Sched.metrics.Metrics.retires + 1;
-  let tr = Sched.tracer th.Sched.sched in
-  if Tracer.enabled tr then
-    Tracer.instant tr Tracer.Retire ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:h ~b:0
+  Smr_intf.note_retire t.ctx th h;
+  Vec.push t.states.(th.Sched.tid).Smr_intf.cur h
 
 (* Deregistration: a retiring thread must not take the token to its grave,
-   and its limbo bags have not finished their grace period. Both bags are
-   adopted into the next live thread's *current* bag — conservatively
-   restarting their wait from scratch — and the token, if held, is passed
-   on (the pass itself skips dead tids). With no live successor the bags
-   stay parked under the dead tid, still counted by [garbage_of], ready to
-   resume if the tid respawns. *)
+   and its limbo bags have not finished their grace period. The bags
+   restart their wait in the next live thread's, and the token, if held,
+   is passed on (the pass itself skips dead tids). *)
 let on_thread_exit t (th : Sched.thread) =
-  let sched = t.ctx.Smr_intf.sched in
-  let n = Sched.n_threads sched in
-  let tid = th.Sched.tid in
-  let st = t.states.(tid) in
-  let next_live =
-    let rec go k remaining =
-      if remaining = 0 then -1
-      else
-        let next = (k + 1) mod n in
-        if (Sched.thread sched next).Sched.alive then next else go next (remaining - 1)
-    in
-    go tid (n - 1)
-  in
-  if next_live >= 0 && Vec.length st.cur + Vec.length st.prev > 0 then begin
-    let dst = t.states.(next_live) in
-    Sched.work th Metrics.Smr t.ctx.Smr_intf.policy.Free_policy.splice_cost;
-    Vec.append dst.cur st.cur;
-    Vec.append dst.cur st.prev;
-    Vec.clear st.cur;
-    Vec.clear st.prev
-  end;
-  if t.holder = tid then pass_token t th
+  Smr_intf.hand_off t.ctx th t.states;
+  if t.holder = th.Sched.tid then pass_token t th
 
-let make ?name ~variant (ctx : Smr_intf.ctx) =
+let make ~variant (ctx : Smr_intf.ctx) =
   let n = Sched.n_threads ctx.Smr_intf.sched in
   let t =
     {
@@ -187,21 +126,13 @@ let make ?name ~variant (ctx : Smr_intf.ctx) =
       variant;
       holder = 0;
       rounds = 0;
-      states =
-        Array.init n (fun _ -> { cur = Vec.create (); prev = Vec.create (); receipts = 0 });
+      states = Array.init n (fun _ -> Smr_intf.generations ());
     }
   in
-  let garbage_of tid =
-    let st = t.states.(tid) in
-    Vec.length st.cur + Vec.length st.prev + Free_policy.pending ctx.Smr_intf.policy tid
-  in
   let name =
-    match name with
-    | Some n -> n
-    | None -> (
-        match ctx.Smr_intf.policy.Free_policy.mode with
-        | Free_policy.Amortized _ -> variant_name variant ^ "_af"
-        | Free_policy.Batch -> variant_name variant)
+    match ctx.Smr_intf.policy.Free_policy.mode with
+    | Free_policy.Amortized _ -> variant_name variant ^ "_af"
+    | Free_policy.Batch -> variant_name variant
   in
   {
     Smr_intf.name;
@@ -211,12 +142,5 @@ let make ?name ~variant (ctx : Smr_intf.ctx) =
     on_thread_exit = on_thread_exit t;
     per_node_ns = 0;
     uses_grace_periods = true;
-    garbage_of;
-    total_garbage =
-      (fun () ->
-        let sum = ref 0 in
-        for tid = 0 to n - 1 do
-          sum := !sum + garbage_of tid
-        done;
-        !sum);
+    total_garbage = Smr_intf.total_garbage ctx (fun tid -> Smr_intf.held t.states.(tid));
   }

@@ -18,6 +18,6 @@ type variant = Naive | Pass_first | Periodic of int
 
 val variant_name : variant -> string
 
-val make : ?name:string -> variant:variant -> Smr_intf.ctx -> Smr_intf.t
-(** The default name is derived from the variant and the policy mode
-    (e.g. ["token_af"] for [Periodic _] under amortized freeing). *)
+val make : variant:variant -> Smr_intf.ctx -> Smr_intf.t
+(** The name is derived from the variant and the policy mode (e.g.
+    ["token_af"] for [Periodic _] under amortized freeing). *)

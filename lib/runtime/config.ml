@@ -172,11 +172,13 @@ let churn_of_spec spec =
    least one thread, key, virtual ns of window and trial; with none it
    crashes deep inside the simulator or reports a throughput over an empty
    window. Amortized freeing needs [af_drain >= 1], or it frees nothing
-   and garbage grows for the whole trial. A churn plan must name a real
-   thread or socket and no time before the start of the measured window.
-   Otherwise it would silently retire nobody, the wrong threads, or
-   everyone. Manifests ([of_json]), the CLI and [churn_schedule] all go
-   through here. *)
+   and garbage grows for the whole trial. The reclaimer settings need at
+   least 1 too: a token period of 0 divides by zero, and a buffer size or
+   DEBRA check interval of 0 quietly runs a pass or a scan every op. A
+   churn plan must name a real thread or socket and no time before the
+   start of the measured window. Otherwise it would silently retire
+   nobody, the wrong threads, or everyone. Manifests ([of_json]), the CLI
+   and [churn_schedule] all go through here. *)
 let check cfg =
   let negative field v =
     if v < 0 then Some (Printf.sprintf "%s %d is negative; it must be >= 0" field v) else None
@@ -223,6 +225,9 @@ let check cfg =
       below_one "duration_ns" cfg.duration_ns;
       below_one "trials" cfg.trials;
       below_one "af_drain" cfg.af_drain;
+      below_one "token_period" cfg.token_period;
+      below_one "buffer_size" cfg.buffer_size;
+      below_one "debra_check_every" cfg.debra_check_every;
     ]
   in
   match (List.find_map Fun.id fields, cfg.churn) with

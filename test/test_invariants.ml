@@ -7,7 +7,7 @@ let config_gen =
     let* smr =
       oneofl
         [ "debra"; "debra_af"; "qsbr"; "token"; "token_af"; "token-naive"; "token-passfirst";
-          "hp"; "he"; "wfe"; "ibr"; "rcu"; "nbr"; "nbr+"; "hyaline"; "none" ]
+          "hazard"; "he"; "wfe"; "ibr"; "rcu"; "nbr"; "nbr+"; "hyaline"; "none" ]
     in
     let* ds = oneofl [ "abtree"; "occtree"; "dgt"; "skiplist" ] in
     let* alloc = oneofl [ "jemalloc"; "tcmalloc"; "mimalloc"; "jemalloc-ba"; "jemalloc-pool" ] in

@@ -111,7 +111,7 @@ let prop_policy_conservation =
 (* The whole-trial determinism property, across reclaimers. *)
 let prop_trial_determinism =
   Helpers.prop ~count:8 "whole trials are deterministic"
-    (QCheck.oneofl [ "debra"; "token_af"; "hp"; "nbr" ])
+    (QCheck.oneofl [ "debra"; "token_af"; "hazard"; "nbr" ])
     (fun smr ->
       let cfg =
         {

@@ -131,8 +131,10 @@ let refused_both ~named field v =
 (* A run needs at least one thread, key, virtual ns of window and trial.
    With fewer it crashes inside the simulator or reports a throughput over
    an empty window; amortized freeing with [af_drain] below one frees
-   nothing. A config or a suite entry asking for fewer is refused, naming
-   the field and its value. *)
+   nothing; a [token_period] of 0 divides by zero, and a [buffer_size] or
+   [debra_check_every] of 0 runs a pass or a scan every op. A config or a
+   suite entry asking for fewer is refused, naming the field and its
+   value. *)
 let config_rejects_below_one field () =
   List.iter
     (fun v -> refused_both ~named:(Printf.sprintf "%s %d" field v) field (Json.Int v))
@@ -157,7 +159,12 @@ let test_config_rejects_unknown_names () =
     ]
 
 let test_config_accepts_one () =
-  let fields = [ "threads"; "key_range"; "duration_ns"; "trials"; "af_drain" ] in
+  let fields =
+    [
+      "threads"; "key_range"; "duration_ns"; "trials"; "af_drain"; "token_period"; "buffer_size";
+      "debra_check_every";
+    ]
+  in
   match Runtime.Config.of_json (Json.Assoc (List.map (fun f -> (f, Json.Int 1)) fields)) with
   | Error msg -> Alcotest.fail msg
   | Ok cfg ->
@@ -293,6 +300,10 @@ let suite =
       Helpers.quick "config_rejects_duration_ns_below_1" (config_rejects_below_one "duration_ns");
       Helpers.quick "config_rejects_trials_below_1" (config_rejects_below_one "trials");
       Helpers.quick "config_rejects_af_drain_below_1" (config_rejects_below_one "af_drain");
+      Helpers.quick "config_rejects_token_period_below_1" (config_rejects_below_one "token_period");
+      Helpers.quick "config_rejects_buffer_size_below_1" (config_rejects_below_one "buffer_size");
+      Helpers.quick "config_rejects_debra_check_every_below_1"
+        (config_rejects_below_one "debra_check_every");
       Helpers.quick "config_rejects_unknown_names" test_config_rejects_unknown_names;
       Helpers.quick "config_accepts_1_for_each_field" test_config_accepts_one;
       Helpers.quick "suite_manifest_round_trip" test_suite_manifest_round_trip;

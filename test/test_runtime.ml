@@ -170,7 +170,7 @@ let suite =
     ]
     @ List.map smoke_reclaimer
         [ "debra"; "debra_af"; "qsbr"; "token"; "token_af"; "token-naive"; "token-passfirst";
-          "rcu"; "ibr"; "hp"; "he"; "wfe"; "nbr"; "nbr+"; "hyaline"; "hyaline_af"; "none" ]
+          "rcu"; "ibr"; "hazard"; "he"; "wfe"; "nbr"; "nbr+"; "hyaline"; "hyaline_af"; "none" ]
     @ [
         smoke_config "occtree" { base with Runtime.Config.ds = "occtree" };
         smoke_config "skiplist" { base with Runtime.Config.ds = "skiplist" };

@@ -120,7 +120,7 @@ let test_buffered_pass_at_threshold () =
       let alloc = Alloc.Registry.make "jemalloc" sched in
       let policy = Smr.Free_policy.create ~mode:Smr.Free_policy.Batch ~alloc ~n:1 () in
       let ctx = { Smr.Smr_intf.sched; alloc; policy; safety = None } in
-      let smr = Smr.Buffered.hp ~buffer_size:10 ctx in
+      let smr = Smr.Buffered.he ~buffer_size:10 ctx in
       (* Retire 10 objects: a pass fires at the threshold but frees the
          (empty) previous generation; 10 more trigger the second pass which
          frees the first 10. *)
@@ -170,14 +170,14 @@ let test_grace_period_flags () =
     (fun name ->
       let smr = Smr.Smr_registry.make name ctx in
       Alcotest.(check bool) (name ^ " validates") true smr.Smr.Smr_intf.uses_grace_periods)
-    (* "hazard" is the genuine HP reclaimer, whose op-granularity free rule
-       is exactly the validator's — unlike "hp", the cost-model variant. *)
+    (* "hazard" frees by an op-granularity rule that is exactly the
+       validator's. *)
     [ "debra"; "qsbr"; "token"; "rcu"; "ibr"; "hazard" ];
   List.iter
     (fun name ->
       let smr = Smr.Smr_registry.make name ctx in
       Alcotest.(check bool) (name ^ " exempt") false smr.Smr.Smr_intf.uses_grace_periods)
-    [ "hp"; "he"; "wfe"; "nbr"; "nbr+"; "none" ]
+    [ "he"; "wfe"; "nbr"; "nbr+"; "none" ]
 
 (* The validator's [floor] fast path against a reference that scans every
    thread on every free. Scripts mix op begins whose times go backwards (a
@@ -260,7 +260,7 @@ let suite =
     List.map safety_test grace_period_names
     @ List.map safety_test_af [ "debra"; "qsbr"; "token"; "hazard" ]
     @ List.map test_leak_freedom
-        [ "debra"; "token"; "qsbr"; "hp"; "nbr"; "hyaline"; "none"; "hazard" ]
+        [ "debra"; "token"; "qsbr"; "nbr"; "hyaline"; "none"; "hazard" ]
     @ [
         Helpers.quick "unsafe_immediate_caught" test_unsafe_immediate_caught;
         Helpers.quick "epochs_advance" test_epochs_advance;

@@ -196,18 +196,22 @@ let test_cross_hp_counters () =
   | [] -> ()
   | v :: _ -> Alcotest.fail (Format.asprintf "validator violation: %a" Smr.Safety.pp_violation v)
 
-(* --- retires, for every reclaimer -------------------------------------- *)
+(* --- retires and epochs, for every reclaimer --------------------------- *)
 
-(* Every registered reclaimer counts a retire in [metrics.retires] and
-   traces it as a [Retire] instant: 4 threads x 200 retires each, raw, so
-   the property does not depend on what a data structure retires. *)
+(* Every registered reclaimer, batch and amortized, counts a retire in
+   [metrics.retires] and traces it as a [Retire] instant, and traces each
+   epoch it counts in [metrics.epochs] as an [Epoch_advance] instant: 4
+   threads x 200 retires each, raw, so the property does not depend on
+   what a data structure retires. A buffer of 16 makes the buffered family
+   and hazard pointers run passes. *)
 let test_cross_retires_every_reclaimer () =
   List.iter
-    (fun name ->
-      let ctx, sched = Helpers.make_ctx ~n:4 () in
+    (fun (name, mode) ->
+      let label = name ^ "/" ^ Smr.Free_policy.mode_name mode in
+      let ctx, sched = Helpers.make_ctx ~n:4 ~mode () in
       let tracer = Tracer.create () in
       Sched.set_tracer sched tracer;
-      let smr = Smr.Smr_registry.make name ctx in
+      let smr = Smr.Smr_registry.make ~buffer_size:16 name ctx in
       Array.iter
         (fun (th : Sched.thread) ->
           Sched.spawn sched th (fun th ->
@@ -219,15 +223,22 @@ let test_cross_retires_every_reclaimer () =
               done))
         (Sched.threads sched);
       Sched.run sched;
-      let retires =
-        Array.fold_left (fun acc th -> acc + th.Sched.metrics.Metrics.retires) 0
-          (Sched.threads sched)
+      let sum f = Array.fold_left (fun acc th -> acc + f th.Sched.metrics) 0 (Sched.threads sched) in
+      let traced kind =
+        let n = ref 0 in
+        Tracer.iter tracer (fun e -> if e.Tracer.kind = kind then incr n);
+        !n
       in
-      let traced = ref 0 in
-      Tracer.iter tracer (fun e -> if e.Tracer.kind = Tracer.Retire then incr traced);
-      Alcotest.(check int) (name ^ ": retires counted") 800 retires;
-      Alcotest.(check int) (name ^ ": retires traced") retires !traced)
-    Smr.Smr_registry.names
+      let retires = sum (fun m -> m.Metrics.retires) in
+      Alcotest.(check int) (label ^ ": retires counted") 800 retires;
+      Alcotest.(check int) (label ^ ": retires traced") retires (traced Tracer.Retire);
+      let epochs = sum (fun m -> m.Metrics.epochs) in
+      Alcotest.(check int) (label ^ ": epochs traced") epochs (traced Tracer.Epoch_advance);
+      if not (List.mem name [ "none"; "unsafe-immediate" ]) then
+        Alcotest.(check bool) (label ^ ": epochs recorded") true (epochs > 0))
+    (List.concat_map
+       (fun name -> [ (name, Smr.Free_policy.Batch); (name, Smr.Free_policy.Amortized 1) ])
+       Smr.Smr_registry.names)
 
 (* --- recorder unit behaviour ----------------------------------------- *)
 
