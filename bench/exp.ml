@@ -7,8 +7,14 @@ let full = match Sys.getenv_opt "FULL" with Some ("1" | "true") -> true | _ -> f
 
 (* Trial fan-out width: EPOCHS_JOBS when set, else the recommended domain
    count. Parallel trials are bit-identical to sequential ones, so figures
-   and shape checks are unaffected. *)
-let jobs = Runtime.Pool.default_jobs ()
+   and shape checks are unaffected. A malformed EPOCHS_JOBS is a usage
+   error, as it is for the -j term of the other binaries. *)
+let jobs =
+  match Runtime.Pool.default_jobs () with
+  | n -> n
+  | exception Invalid_argument msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 124
 
 let trials = if quick then 1 else if full then 3 else 2
 let duration_ms = if quick then 15 else if full then 40 else 25

@@ -54,8 +54,9 @@ let svg_arg =
 let zipf_arg =
   Arg.(
     value
-    & opt (some float) None
-    & info [ "zipf" ] ~docv:"THETA" ~doc:"Zipf-skew the key distribution with exponent $(docv).")
+    & opt (some Jobs.non_negative) None
+    & info [ "zipf" ] ~docv:"THETA"
+        ~doc:"Zipf-skew the key distribution with exponent $(docv), at least 0.")
 
 let jobs_arg = Jobs.term ~over:"independent trials"
 

@@ -1,8 +1,8 @@
 (* Model of JEmalloc 5.x's small-object path (paper §3.2 and Appendix B).
 
    - per-thread caches (tcaches), one per size class, with a fill threshold;
-   - 4xT arenas; each thread is bound to one arena; each (arena, size class)
-     pair is a *bin* protected by a mutex;
+   - one arena per thread; each (arena, size class) pair is a *bin*
+     protected by a mutex;
    - [malloc] pops from the tcache; on a miss it refills from the thread's
      own arena bin, allocating fresh pages when the bin is empty;
    - [free] pushes into the tcache; what an overflow does is the flush
@@ -52,9 +52,9 @@ let chunk = 8
 let bin_id ~arena ~cls = (arena * Size_class.count) + cls
 let arena_of_bin home = home / Size_class.count
 
-(* Thread-to-arena binding: with 4xT arenas every thread gets its own arena
-   (as in JEmalloc, where arenas are assigned round-robin and collisions are
-   rare at these arena counts). *)
+(* Thread-to-arena binding: every thread gets its own arena (JEmalloc
+   assigns its 4xCPU arenas round-robin, so threads rarely share one), and
+   only those arenas are built. *)
 let arena_of_thread tid = tid
 
 let create policy ?(config = Alloc_intf.default_config) sched =
@@ -75,7 +75,7 @@ let create policy ?(config = Alloc_intf.default_config) sched =
     cost = Sched.cost sched;
     config;
     table = Obj_table.create ();
-    bins = Array.init (4 * n) (fun a -> Array.init Size_class.count (mk_bin a));
+    bins = Array.init n (fun a -> Array.init Size_class.count (mk_bin a));
     tcache = per_thread ();
     pending = (match policy with Stock -> [||] | Batch_aware -> per_thread ());
     flush_keep =

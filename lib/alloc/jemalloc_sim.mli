@@ -1,8 +1,8 @@
 (** JEmalloc 5.x small-object model (paper §3.2, Appendix B): per-thread
-    caches over per-(arena, size class) bins, 4×T arenas with one arena per
-    thread. Two flush policies share the bins, the caches, the refill and
-    the grouped return of objects to their owner bins under each bin's lock;
-    they differ in what a cache overflow and a thread's exit do. *)
+    caches over per-(arena, size class) bins, one arena per thread. Two
+    flush policies share the bins, the caches, the refill and the grouped
+    return of objects to their owner bins under each bin's lock; they
+    differ in what a cache overflow and a thread's exit do. *)
 
 type policy =
   | Stock

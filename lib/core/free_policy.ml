@@ -69,44 +69,36 @@ let dispose t (th : Sched.thread) bag =
           Tracer.instant tr Tracer.Splice ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:count ~b:0
   end
 
-(* Called once per data structure operation: under AF, gradually drain the
-   freeable list. *)
-let tick t (th : Sched.thread) =
-  match t.mode with
-  | Batch -> ()
-  | Amortized k ->
-      let fl = t.freeable.(th.Sched.tid) in
-      let n = Int.min k (Vec.length fl) in
-      if n > 0 then begin
-        let t0 = Sched.now th in
-        for _ = 1 to n do
-          free_one t th (Vec.pop fl)
-        done;
-        let tr = Sched.tracer th.Sched.sched in
-        if Tracer.enabled tr then
-          Tracer.span tr Tracer.Af_drain ~tid:th.Sched.tid ~ts:t0 ~dur:(Sched.now th - t0)
-            ~a:n ~b:0
-      end
+(* Objects identified as safe but not yet freed, per thread. *)
+let pending t tid = Vec.length t.freeable.(tid)
 
-(* Thread teardown: a retiring thread's freeable backlog is already proven
-   safe, so it all goes to the allocator now — there will be no more ticks
-   to drain it. Returns the number of objects freed. *)
-let drain_all t (th : Sched.thread) =
-  let fl = t.freeable.(th.Sched.tid) in
-  let n = Vec.length fl in
+(* Free the [n] newest objects of [th]'s freeable list as one [Af_drain]
+   span: the per-op AF drain and the thread-exit backlog alike. *)
+let drain t (th : Sched.thread) n =
   if n > 0 then begin
+    let fl = t.freeable.(th.Sched.tid) in
     let t0 = Sched.now th in
     for _ = 1 to n do
       free_one t th (Vec.pop fl)
     done;
     let tr = Sched.tracer th.Sched.sched in
     if Tracer.enabled tr then
-      Tracer.span tr Tracer.Af_drain ~tid:th.Sched.tid ~ts:t0 ~dur:(Sched.now th - t0)
-        ~a:n ~b:0
-  end;
-  n
+      Tracer.span tr Tracer.Af_drain ~tid:th.Sched.tid ~ts:t0 ~dur:(Sched.now th - t0) ~a:n ~b:0
+  end
 
-(* Objects identified as safe but not yet freed, per thread. *)
-let pending t tid = Vec.length t.freeable.(tid)
+(* Called once per data structure operation: under AF, gradually drain the
+   freeable list. *)
+let tick t (th : Sched.thread) =
+  match t.mode with
+  | Batch -> ()
+  | Amortized k -> drain t th (Int.min k (pending t th.Sched.tid))
+
+(* Thread teardown: a retiring thread's freeable backlog is already proven
+   safe, so it all goes to the allocator now — there will be no more ticks
+   to drain it. Returns the number of objects freed. *)
+let drain_all t (th : Sched.thread) =
+  let n = pending t th.Sched.tid in
+  drain t th n;
+  n
 
 let total_pending t = Array.fold_left (fun acc v -> acc + Vec.length v) 0 t.freeable

@@ -33,7 +33,7 @@ type t = {
   n : int;
   op_begin : int array;  (* per thread: virtual time its current op began *)
   mutable floor : int;  (* <= every [op_begin.(j) >= 0]; max_int when none *)
-  mutable retire_time : int array;  (* dense by handle; -1 = never retired *)
+  retire_time : Simcore.Vec.t;  (* dense by handle; -1 = never retired *)
   mutable violations : violation list;
   mutable checked_frees : int;
 }
@@ -43,7 +43,7 @@ let create ~n =
     n;
     op_begin = Array.make n (-1);
     floor = max_int;
-    retire_time = Array.make 1024 (-1);
+    retire_time = Simcore.Vec.create ();
     violations = [];
     checked_frees = 0;
   }
@@ -56,20 +56,11 @@ let note_op_begin t ~tid ~time =
    never again hold a reference, so it must not block frees. *)
 let note_quiescent t ~tid = t.op_begin.(tid) <- max_int
 
-let ensure t h =
-  if h >= Array.length t.retire_time then begin
-    let cap = ref (Array.length t.retire_time) in
-    while !cap <= h do
-      cap := !cap * 2
-    done;
-    let a = Array.make !cap (-1) in
-    Array.blit t.retire_time 0 a 0 (Array.length t.retire_time);
-    t.retire_time <- a
-  end
-
 let note_retire t ~handle ~time =
-  ensure t handle;
-  t.retire_time.(handle) <- time
+  while Simcore.Vec.length t.retire_time <= handle do
+    Simcore.Vec.push t.retire_time (-1)
+  done;
+  Simcore.Vec.set t.retire_time handle time
 
 (* Tighten [floor] to the exact minimum op-begin time [>= 0] and return it. *)
 let recompute_floor t =
@@ -86,8 +77,8 @@ let recompute_floor t =
    and report all of them. *)
 let check_free t ~tid ~handle ~time =
   t.checked_frees <- t.checked_frees + 1;
-  if handle < Array.length t.retire_time then begin
-    let retired_at = t.retire_time.(handle) in
+  if handle < Simcore.Vec.length t.retire_time then begin
+    let retired_at = Simcore.Vec.get t.retire_time handle in
     if retired_at >= 0 && retired_at > t.floor && retired_at > recompute_floor t then
       for j = 0 to t.n - 1 do
         if

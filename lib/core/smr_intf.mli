@@ -14,7 +14,7 @@
 open Simcore
 
 type t = {
-  name : string;
+  name : string;  (** the registry base name, in either free policy (no [_af]) *)
   begin_op : Sched.thread -> unit;
   end_op : Sched.thread -> unit;
   retire : Sched.thread -> int -> unit;

@@ -129,13 +129,8 @@ let make ~variant (ctx : Smr_intf.ctx) =
       states = Array.init n (fun _ -> Smr_intf.generations ());
     }
   in
-  let name =
-    match ctx.Smr_intf.policy.Free_policy.mode with
-    | Free_policy.Amortized _ -> variant_name variant ^ "_af"
-    | Free_policy.Batch -> variant_name variant
-  in
   {
-    Smr_intf.name;
+    Smr_intf.name = variant_name variant;
     begin_op = begin_op t;
     end_op = (fun _ -> ());
     retire = retire t;

@@ -19,5 +19,5 @@ type variant = Naive | Pass_first | Periodic of int
 val variant_name : variant -> string
 
 val make : variant:variant -> Smr_intf.ctx -> Smr_intf.t
-(** The name is derived from the variant and the policy mode (e.g.
-    ["token_af"] for [Periodic _] under amortized freeing). *)
+(** The name is the variant's registry name ({!variant_name}, e.g.
+    ["token"] for [Periodic _]) under either free policy. *)

@@ -174,11 +174,14 @@ let churn_of_spec spec =
    window. Amortized freeing needs [af_drain >= 1], or it frees nothing
    and garbage grows for the whole trial. The reclaimer settings need at
    least 1 too: a token period of 0 divides by zero, and a buffer size or
-   DEBRA check interval of 0 quietly runs a pass or a scan every op. A
-   churn plan must name a real thread or socket and no time before the
-   start of the measured window. Otherwise it would silently retire
-   nobody, the wrong threads, or everyone. Manifests ([of_json]), the CLI
-   and [churn_schedule] all go through here. *)
+   DEBRA check interval of 0 quietly runs a pass or a scan every op. The
+   insert and delete shares are fractions whose sum is at most 1, a Zipf
+   exponent is a number >= 0, and the warmup and the timeline's smallest
+   free call are durations >= 0; out of range, each runs a silently
+   different workload. A churn plan must name a real thread or socket and
+   no time before the start of the measured window. Otherwise it would
+   silently retire nobody, the wrong threads, or everyone. Manifests
+   ([of_json]), the CLI and [churn_schedule] all go through here. *)
 let check cfg =
   let negative field v =
     if v < 0 then Some (Printf.sprintf "%s %d is negative; it must be >= 0" field v) else None
@@ -207,6 +210,9 @@ let check cfg =
   let below_one field v =
     if v < 1 then Some (Printf.sprintf "%s %d is out of range; it must be >= 1" field v) else None
   in
+  let fraction field v =
+    if v >= 0. && v <= 1. then None else Some (Printf.sprintf "%s %g is outside [0, 1]" field v)
+  in
   let unknown ?(hint = "") field v ~base names =
     if List.mem base names then None
     else
@@ -228,6 +234,19 @@ let check cfg =
       below_one "token_period" cfg.token_period;
       below_one "buffer_size" cfg.buffer_size;
       below_one "debra_check_every" cfg.debra_check_every;
+      fraction "insert_pct" cfg.insert_pct;
+      fraction "delete_pct" cfg.delete_pct;
+      (if cfg.insert_pct +. cfg.delete_pct <= 1. then None
+       else
+         Some
+           (Printf.sprintf "insert_pct %g + delete_pct %g is above 1" cfg.insert_pct
+              cfg.delete_pct));
+      (match cfg.key_dist with
+      | Zipf theta when not (theta >= 0.) ->
+          Some (Printf.sprintf "key_dist zipf %g is out of range; it must be >= 0" theta)
+      | Zipf _ | Uniform -> None);
+      negative "warmup_ns" cfg.warmup_ns;
+      negative "timeline_min_free_ns" cfg.timeline_min_free_ns;
     ]
   in
   match (List.find_map Fun.id fields, cfg.churn) with

@@ -16,17 +16,24 @@
 
 let env_var = "EPOCHS_JOBS"
 
-(* Parse a job-count override; [None] when absent or malformed (a malformed
-   value falls back to the hardware default rather than aborting a sweep). *)
+(* Parse a job-count override; [None] when malformed or below 1. *)
 let parse_jobs s =
   match int_of_string_opt (String.trim s) with
   | Some n when n >= 1 -> Some n
   | Some _ | None -> None
 
+(* A malformed override is refused, in the words the binaries' [-j] term
+   uses for it, rather than silently replaced by the hardware default. *)
 let default_jobs () =
-  match Option.bind (Sys.getenv_opt env_var) parse_jobs with
-  | Some n -> n
+  match Sys.getenv_opt env_var with
   | None -> Domain.recommended_domain_count ()
+  | Some s -> (
+      match parse_jobs s with
+      | Some n -> n
+      | None ->
+          invalid_arg
+            (Printf.sprintf
+               "environment variable '%s': invalid value '%s', expected an integer >= 1" env_var s))
 
 let map ?jobs f tasks =
   let tasks = Array.of_list tasks in

@@ -16,12 +16,12 @@ val env_var : string
 (** ["EPOCHS_JOBS"]. *)
 
 val parse_jobs : string -> int option
-(** Parse a job-count override; [None] when malformed or [< 1] (malformed
-    values fall back to the hardware default rather than aborting). *)
+(** Parse a job-count override; [None] when malformed or [< 1]. *)
 
 val default_jobs : unit -> int
-(** [EPOCHS_JOBS] when set and valid, else
-    [Domain.recommended_domain_count ()]. *)
+(** [EPOCHS_JOBS] when set, else [Domain.recommended_domain_count ()].
+    @raise Invalid_argument naming the variable and the value when it is
+    set to anything but an integer [>= 1]. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?jobs f tasks] is [List.map f tasks] computed on up to [jobs]

@@ -1,12 +1,14 @@
 (* Growable arrays used throughout the simulator (OCaml 5.1 has no
    Stdlib.Dynarray yet). Two flavours: a monomorphic int vector, used on hot
    paths (limbo bags, free lists) to avoid boxing, and a polymorphic
-   vector. *)
+   vector. A new vector holds the shared empty array and allocates storage
+   on its first push (8 slots, doubling after), so one that is never pushed
+   costs only its 3-word record: an n192 trial creates tens of thousands of
+   per-thread, per-size-class vectors and touches few of them. *)
 
 type t = { mutable data : int array; mutable len : int }
 
-let create ?(capacity = 8) () =
-  { data = Array.make (Int.max 1 capacity) 0; len = 0 }
+let create () = { data = [||]; len = 0 }
 
 let[@inline] length v = v.len
 let[@inline] is_empty v = v.len = 0
@@ -15,7 +17,7 @@ let clear v = v.len <- 0
 
 let ensure v n =
   if n > Array.length v.data then begin
-    let cap = ref (Array.length v.data) in
+    let cap = ref (Int.max 8 (Array.length v.data)) in
     while !cap < n do
       cap := !cap * 2
     done;
@@ -66,7 +68,7 @@ let append dst src =
 let to_list v = List.init v.len (fun i -> v.data.(i))
 
 let of_list l =
-  let v = create ~capacity:(Int.max 1 (List.length l)) () in
+  let v = create () in
   List.iter (push v) l;
   v
 
@@ -99,8 +101,7 @@ let drop_front v n =
 module Poly = struct
   type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
-  let create ?(capacity = 8) ~dummy () =
-    { data = Array.make (Int.max 1 capacity) dummy; len = 0; dummy }
+  let create ~dummy () = { data = [||]; len = 0; dummy }
 
   let length v = v.len
   let is_empty v = v.len = 0
@@ -112,7 +113,7 @@ module Poly = struct
 
   let ensure v n =
     if n > Array.length v.data then begin
-      let cap = ref (Array.length v.data) in
+      let cap = ref (Int.max 8 (Array.length v.data)) in
       while !cap < n do
         cap := !cap * 2
       done;

@@ -2,13 +2,14 @@
 
     [Vec.t] is a monomorphic [int] vector used on the simulator's hot paths
     (limbo bags, allocator free lists) to avoid boxing; {!Poly} is the
-    polymorphic counterpart. *)
+    polymorphic counterpart. Storage is allocated on the first push, so a
+    vector that is never pushed costs only its record. *)
 
 type t
 (** A growable vector of [int]. *)
 
-val create : ?capacity:int -> unit -> t
-(** [create ()] is an empty vector. [capacity] preallocates storage. *)
+val create : unit -> t
+(** [create ()] is an empty vector with no storage yet. *)
 
 val length : t -> int
 val is_empty : t -> bool
@@ -65,7 +66,7 @@ val drop_front : t -> int -> unit
 module Poly : sig
   type 'a t
 
-  val create : ?capacity:int -> dummy:'a -> unit -> 'a t
+  val create : dummy:'a -> unit -> 'a t
   val length : 'a t -> int
   val is_empty : 'a t -> bool
   val clear : 'a t -> unit

@@ -195,9 +195,16 @@ let test_registry_enumeration_contract () =
       (match Smr.Smr_registry.describe name with
       | Some doc -> Alcotest.(check bool) (name ^ " documented") true (String.length doc > 0)
       | None -> Alcotest.failf "%s has no description" name);
-      let ctx, _ = Helpers.make_ctx () in
-      let smr = Smr.Smr_registry.make name ctx in
-      Alcotest.(check string) (name ^ " self-names") name smr.Smr.Smr_intf.name)
+      (* A reclaimer names itself by its registry base name whatever the
+         free policy: the [_af] suffix selects the policy, not the scheme. *)
+      List.iter
+        (fun mode ->
+          let ctx, _ = Helpers.make_ctx ~mode () in
+          let smr = Smr.Smr_registry.make name ctx in
+          Alcotest.(check string)
+            (Printf.sprintf "%s self-names (%s)" name (Smr.Free_policy.mode_name mode))
+            name smr.Smr.Smr_intf.name)
+        [ Smr.Free_policy.Batch; Smr.Free_policy.Amortized 1 ])
     names;
   List.iter
     (fun (s : Check.Scenario.t) ->

@@ -439,6 +439,146 @@ let test_rng_draw_minor_words () =
   Alcotest.(check (float 0.)) "bool minor words per draw" 0. bool;
   if float > 2. then Alcotest.failf "float: %.2f minor words per draw (limit 2)" float
 
+(* Words [f] allocates on the OCaml heap, minor and direct-major alike.
+   [Gc.minor_words] is exact at any point; [Gc.counters]' minor figure is
+   not, but its major and promoted words are. *)
+let words_allocated f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let r = f () in
+  (r, words () -. w0)
+
+(* A model builds only what a trial can reach: JEmalloc one arena per
+   thread, not 4n of which 3n are never touched, and every per-thread,
+   per-size-class vector allocates its storage on its first push. Words
+   allocated by [make] at n = 192 with 4n arenas and eager vectors:
+   jemalloc 541,612, jemalloc-ba 581,933, tcmalloc 43,152, mimalloc
+   128,596, leak 2,244, jemalloc-pool 581,991; as built now: 148,320,
+   160,993, 13,172, 43,464, 56 and 161,051. Limits sit about 10% above
+   the latter. *)
+let build_word_limits =
+  [
+    ("jemalloc", 165_000.);
+    ("jemalloc-ba", 178_000.);
+    ("tcmalloc", 14_500.);
+    ("mimalloc", 48_000.);
+    ("leak", 100.);
+    ("jemalloc-pool", 178_000.);
+  ]
+
+let test_allocator_build_words () =
+  Alcotest.(check (list string)) "every registered model has a limit" Alloc.Registry.names
+    (List.map fst build_word_limits);
+  List.iter
+    (fun (name, limit) ->
+      let sched = Helpers.make_sched ~n:192 () in
+      let _, words = words_allocated (fun () -> Alloc.Registry.make name sched) in
+      if words > limit then
+        Alcotest.failf "%s: make at n=192 allocated %.0f words (limit %.0f)" name words limit)
+    build_word_limits
+
+(* One packed int per handle in one doubling vector: 2.62 words per handle
+   over 200,000 handles (two int vectors and a byte string took 5.56). *)
+let test_obj_table_words_per_handle () =
+  let n = 200_000 in
+  let _, words =
+    words_allocated (fun () ->
+        let t = Alloc.Obj_table.create () in
+        for i = 1 to n do
+          ignore (Alloc.Obj_table.fresh t ~size_class:(i land 15) ~home:i)
+        done;
+        t)
+  in
+  let per = words /. float_of_int n in
+  if per > 3. then Alcotest.failf "Obj_table: %.2f words per handle (limit 3)" per
+
+(* The packed table against a two-array reference: random scripts of
+   [fresh] (classes 0-15, homes up to 2^40), [mark_live] and [mark_dead]
+   on existing handles; after every step each handle's class, home and
+   live bit and the byte counters agree. A double allocation or double
+   free must raise in the table exactly when the reference says so. *)
+type obj_op = Fresh of int * int | Live of int | Dead of int
+
+let pp_obj_op = function
+  | Fresh (c, h) -> Printf.sprintf "fresh(%d,%d)" c h
+  | Live i -> Printf.sprintf "live %d" i
+  | Dead i -> Printf.sprintf "dead %d" i
+
+let obj_script =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        ( 3,
+          map2
+            (fun c h -> Fresh (c, h))
+            (int_bound 15)
+            (oneof [ int_bound 64; int_bound (1 lsl 40) ]) );
+        (3, map (fun i -> Live i) nat);
+        (2, map (fun i -> Dead i) nat);
+      ]
+  in
+  QCheck.make ~print:(QCheck.Print.list pp_obj_op) (list_size (int_bound 120) op)
+
+let prop_obj_table_matches_reference =
+  Helpers.prop "obj_table matches two-array reference" obj_script (fun script ->
+      let t = Alloc.Obj_table.create () in
+      let classes = ref [||] and homes = ref [||] and live = ref [||] in
+      let live_bytes = ref 0 and peak = ref 0 and mapped = ref 0 in
+      let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+      let agrees () =
+        let n = Array.length !classes in
+        Alloc.Obj_table.count t = n
+        && Alloc.Obj_table.live_bytes t = !live_bytes
+        && Alloc.Obj_table.peak_live_bytes t = !peak
+        && Alloc.Obj_table.mapped_bytes t = !mapped
+        && List.for_all
+             (fun h ->
+               Alloc.Obj_table.size_class t h = !classes.(h)
+               && Alloc.Obj_table.home t h = !homes.(h)
+               && Alloc.Obj_table.is_live t h = !live.(h))
+             (List.init n Fun.id)
+        && not (Alloc.Obj_table.is_live t n)
+      in
+      List.for_all
+        (fun op ->
+          let n = Array.length !classes in
+          let ok =
+            match op with
+            | Fresh (c, home) ->
+                Alloc.Obj_table.fresh t ~size_class:c ~home = n
+                && begin
+                     classes := Array.append !classes [| c |];
+                     homes := Array.append !homes [| home |];
+                     live := Array.append !live [| false |];
+                     mapped := !mapped + Alloc.Size_class.bytes c;
+                     true
+                   end
+            | Live _ | Dead _ when n = 0 -> true
+            | Live i ->
+                let h = i mod n in
+                let double = !live.(h) in
+                if not double then begin
+                  !live.(h) <- true;
+                  live_bytes := !live_bytes + Alloc.Size_class.bytes !classes.(h);
+                  peak := Int.max !peak !live_bytes
+                end;
+                raises (fun () -> Alloc.Obj_table.mark_live t h) = double
+            | Dead i ->
+                let h = i mod n in
+                let double = not !live.(h) in
+                if not double then begin
+                  !live.(h) <- false;
+                  live_bytes := !live_bytes - Alloc.Size_class.bytes !classes.(h)
+                end;
+                raises (fun () -> Alloc.Obj_table.mark_dead t h) = double
+          in
+          ok && agrees ())
+        script)
+
 let suite =
   ( "hotpath",
     [
@@ -466,4 +606,7 @@ let suite =
       Helpers.quick "skiplist_minor_words"
         (check_minor_words "skiplist" ~key_range:(1 lsl 12) (3., 3., 3.));
       Helpers.quick "rng_draw_minor_words" test_rng_draw_minor_words;
+      Helpers.quick "allocator_build_words" test_allocator_build_words;
+      Helpers.quick "obj_table_words_per_handle" test_obj_table_words_per_handle;
+      prop_obj_table_matches_reference;
     ] )

@@ -115,14 +115,14 @@ let refused ~named what = function
 
 (* Both paths a config takes in: [Config.of_json], and a suite manifest
    entry, whose error also names the entry. *)
-let refused_both ~named field v =
-  refused ~named "config" (Runtime.Config.of_json (Json.Assoc [ (field, v) ]));
+let refused_both ~named fields =
+  refused ~named "config" (Runtime.Config.of_json (Json.Assoc fields));
   let manifest =
     Regress.Suite.of_manifest
       (Json.Assoc
          [
            ("schema_version", Json.Int Regress.Suite.schema_version);
-           ("entries", Json.List [ Json.Assoc [ ("id", Json.String "e"); (field, v) ] ]);
+           ("entries", Json.List [ Json.Assoc (("id", Json.String "e") :: fields) ]);
          ])
   in
   refused ~named "manifest" manifest;
@@ -137,8 +137,32 @@ let refused_both ~named field v =
    value. *)
 let config_rejects_below_one field () =
   List.iter
-    (fun v -> refused_both ~named:(Printf.sprintf "%s %d" field v) field (Json.Int v))
+    (fun v -> refused_both ~named:(Printf.sprintf "%s %d" field v) [ (field, Json.Int v) ])
     [ 0; -3 ]
+
+(* The operation mix is two fractions whose sum is at most 1, a Zipf
+   exponent is a number >= 0, and the warmup and the timeline's smallest
+   recorded free are durations >= 0. Outside these ranges a run used to
+   go ahead with a silently different workload; now a config or a suite
+   entry is refused, naming the field and its value. *)
+let config_rejects cases () =
+  List.iter (fun (named, fields) -> refused_both ~named fields) cases
+
+let zipf theta = Json.Assoc [ ("zipf", Json.Float theta) ]
+
+let test_config_accepts_range_edges () =
+  List.iter
+    (fun fields ->
+      match Runtime.Config.of_json (Json.Assoc fields) with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "refused an edge of its range: %s" msg)
+    [
+      [ ("warmup_ns", Json.Int 0); ("timeline_min_free_ns", Json.Int 0) ];
+      [ ("insert_pct", Json.Float 0.); ("delete_pct", Json.Float 0.) ];
+      [ ("insert_pct", Json.Float 1.); ("delete_pct", Json.Float 0.) ];
+      [ ("insert_pct", Json.Float 0.); ("delete_pct", Json.Float 1.) ];
+      [ ("key_dist", zipf 0.) ];
+    ]
 
 (* An unknown data structure, reclaimer or allocator, an old alias
    among them, is refused with the valid names before any trial starts,
@@ -146,7 +170,7 @@ let config_rejects_below_one field () =
 let test_config_rejects_unknown_names () =
   List.iter
     (fun (field, v) ->
-      refused_both ~named:(Printf.sprintf "%s %S" field v) field (Json.String v);
+      refused_both ~named:(Printf.sprintf "%s %S" field v) [ (field, Json.String v) ];
       refused ~named:"valid names: " "config"
         (Runtime.Config.of_json (Json.Assoc [ (field, Json.String v) ])))
     [
@@ -304,6 +328,36 @@ let suite =
       Helpers.quick "config_rejects_buffer_size_below_1" (config_rejects_below_one "buffer_size");
       Helpers.quick "config_rejects_debra_check_every_below_1"
         (config_rejects_below_one "debra_check_every");
+      Helpers.quick "config_rejects_insert_pct_outside_0_1"
+        (config_rejects
+           [
+             ("insert_pct 1.5", [ ("insert_pct", Json.Float 1.5); ("delete_pct", Json.Float 0.) ]);
+             ("insert_pct -0.1", [ ("insert_pct", Json.Float (-0.1)) ]);
+           ]);
+      Helpers.quick "config_rejects_delete_pct_outside_0_1"
+        (config_rejects
+           [
+             ("delete_pct 1.5", [ ("insert_pct", Json.Float 0.); ("delete_pct", Json.Float 1.5) ]);
+             ("delete_pct -0.1", [ ("delete_pct", Json.Float (-0.1)) ]);
+           ]);
+      Helpers.quick "config_rejects_mix_above_1"
+        (config_rejects
+           [
+             ( "insert_pct 0.8 + delete_pct 0.8",
+               [ ("insert_pct", Json.Float 0.8); ("delete_pct", Json.Float 0.8) ] );
+           ]);
+      Helpers.quick "config_rejects_zipf_below_0_or_nan"
+        (config_rejects
+           [
+             ("key_dist zipf -1", [ ("key_dist", zipf (-1.)) ]);
+             ("key_dist zipf nan", [ ("key_dist", zipf Float.nan) ]);
+           ]);
+      Helpers.quick "config_rejects_warmup_ns_below_0"
+        (config_rejects [ ("warmup_ns -5", [ ("warmup_ns", Json.Int (-5)) ]) ]);
+      Helpers.quick "config_rejects_timeline_min_free_ns_below_0"
+        (config_rejects
+           [ ("timeline_min_free_ns -1", [ ("timeline_min_free_ns", Json.Int (-1)) ]) ]);
+      Helpers.quick "config_accepts_range_edges" test_config_accepts_range_edges;
       Helpers.quick "config_rejects_unknown_names" test_config_rejects_unknown_names;
       Helpers.quick "config_accepts_1_for_each_field" test_config_accepts_one;
       Helpers.quick "suite_manifest_round_trip" test_suite_manifest_round_trip;

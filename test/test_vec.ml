@@ -81,6 +81,36 @@ let test_poly () =
   Vec.Poly.clear v;
   Alcotest.(check bool) "cleared" true (Vec.Poly.is_empty v)
 
+(* A new vector has no storage until its first push, so every operation
+   must also work on one that was never pushed: removal and reads see an
+   empty vector, appends into and out of it move exactly the other side. *)
+let test_never_pushed () =
+  let empty () = Vec.create () in
+  Alcotest.check_raises "pop" (Invalid_argument "Vec.pop: empty") (fun () ->
+      ignore (Vec.pop (empty ())));
+  Alcotest.check_raises "get" (Invalid_argument "Vec.get: out of bounds") (fun () ->
+      ignore (Vec.get (empty ()) 0));
+  let v = empty () in
+  Vec.drop_front v 3;
+  Alcotest.(check (array int)) "take_front" [||] (Vec.take_front v 2);
+  Alcotest.(check (array int)) "take_last" [||] (Vec.take_last v 2);
+  Vec.clear v;
+  Alcotest.(check int) "fold" 0 (Vec.fold ( + ) 0 v);
+  Alcotest.(check (list int)) "still empty" [] (Vec.to_list v);
+  Vec.append v (empty ());
+  Alcotest.(check int) "empty into empty" 0 (Vec.length v);
+  let full = Vec.of_list [ 1; 2 ] in
+  Vec.append full (empty ());
+  Alcotest.(check (list int)) "empty into full" [ 1; 2 ] (Vec.to_list full);
+  Vec.append v full;
+  Alcotest.(check (list int)) "full into empty" [ 1; 2 ] (Vec.to_list v);
+  let p = Vec.Poly.create ~dummy:"" () in
+  Alcotest.check_raises "poly pop" (Invalid_argument "Vec.Poly.pop: empty") (fun () ->
+      ignore (Vec.Poly.pop p));
+  Vec.Poly.clear p;
+  Vec.Poly.push p "a";
+  Alcotest.(check (list string)) "poly push after clear" [ "a" ] (Vec.Poly.to_list p)
+
 let prop_roundtrip =
   Helpers.prop "push then to_list roundtrips" QCheck.(list small_int) (fun l ->
       let v = Vec.create () in
@@ -123,6 +153,7 @@ let suite =
       Helpers.quick "iter_fold" test_iter_fold;
       Helpers.quick "clear_reuse" test_clear_reuse;
       Helpers.quick "poly" test_poly;
+      Helpers.quick "never_pushed" test_never_pushed;
       prop_roundtrip;
       prop_take_front_split;
       prop_drop_front_matches_take_front;
