@@ -23,8 +23,9 @@ bench-quick:
 
 # The cheapest bench subset: exercises bench/main.exe in CI without the
 # 40-minute cost. Runs fig1, ablate-allocfix (the one experiment that
-# drives batch-aware JEmalloc) and fig11b (ten reclaimers, batch and AF,
-# at 192 threads); ~35 s with QUICK=1.
+# drives batch-aware JEmalloc), fig11b (ten reclaimers, batch and AF, at
+# 192 threads) and ablate-zipf (the one experiment that sets the key
+# distribution); ~30 s with QUICK=1.
 bench-smoke:
 	QUICK=1 dune exec bench/main.exe -- smoke
 

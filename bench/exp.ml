@@ -55,16 +55,19 @@ let cfg ?(ds = "abtree") ?(smr = "debra") ?(alloc = "jemalloc") ?(threads = 192)
     alloc_config = Option.value alloc_config ~default:base.Runtime.Config.alloc_config;
   }
 
-(* Memoised trial results: several figures reuse the same configurations. *)
+(* Memoised trial results: several figures reuse the same configurations.
+   A config is keyed by its own JSON, which holds every field a manifest
+   can set, plus the allocator settings the JSON leaves out. The cost
+   model, the one other field the JSON omits, is the default in every
+   figure. *)
 let cache : (string, Runtime.Trial.t list) Hashtbl.t = Hashtbl.create 64
 
 let cache_key (c : Runtime.Config.t) =
-  Printf.sprintf "%s/%s/%s/n%d/%s/k%d/d%d/tl%b/afd%d/tp%d/bs%d/cap%d"
-    c.Runtime.Config.ds c.Runtime.Config.smr c.Runtime.Config.alloc c.Runtime.Config.threads
-    c.Runtime.Config.topology.Simcore.Topology.name c.Runtime.Config.key_range
-    c.Runtime.Config.duration_ns c.Runtime.Config.timeline c.Runtime.Config.af_drain
-    c.Runtime.Config.token_period c.Runtime.Config.buffer_size
-    c.Runtime.Config.alloc_config.Alloc.Alloc_intf.tcache_cap
+  let a = c.Runtime.Config.alloc_config in
+  Printf.sprintf "%s/cap%d/ff%h/rb%d/pg%d"
+    (Json.render ~minify:true (Runtime.Config.to_json c))
+    a.Alloc.Alloc_intf.tcache_cap a.Alloc.Alloc_intf.flush_fraction
+    a.Alloc.Alloc_intf.refill_batch a.Alloc.Alloc_intf.page_bytes
 
 let run c =
   let key = cache_key c in

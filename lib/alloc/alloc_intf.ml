@@ -88,6 +88,24 @@ let instrument ~name ~table ~raw_malloc ~raw_free ?(raw_thread_exit = fun _ -> 0
   in
   { name; table; malloc; free; cached_objects; thread_exit }
 
+(* The two allocator facts every model reports, each written at one site:
+   the counter and its trace instant together. [overflow] is one cache
+   overflow of [objects] in size class [cls] (the [flushes] counter);
+   [remote_free] returns [objects] to a remote owner [home] (the
+   [remote_frees] counter). *)
+let[@inline] overflow (th : Sched.thread) ~objects ~cls =
+  th.Sched.metrics.Metrics.flushes <- th.Sched.metrics.Metrics.flushes + 1;
+  let tr = Sched.tracer th.Sched.sched in
+  if Tracer.enabled tr then
+    Tracer.instant tr Tracer.Overflow ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:objects ~b:cls
+
+let[@inline] remote_free (th : Sched.thread) ~objects ~home =
+  th.Sched.metrics.Metrics.remote_frees <- th.Sched.metrics.Metrics.remote_frees + objects;
+  let tr = Sched.tracer th.Sched.sched in
+  if Tracer.enabled tr then
+    Tracer.instant tr Tracer.Remote_free ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:objects
+      ~b:home
+
 (* Flush-batch grouping: sort a batch of handles by their home bin (stable
    on insertion order), so flushes visit each bin once and the simulation is
    deterministic.

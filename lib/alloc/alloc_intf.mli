@@ -47,6 +47,16 @@ val instrument :
     into [teardown_frees] and traces the pass as a [Teardown_flush]
     span. *)
 
+val overflow : Sched.thread -> objects:int -> cls:int -> unit
+(** One cache overflow of [objects] in size class [cls]: counts it in
+    [flushes] and emits an [Overflow] instant. The one writing site of
+    that fact for every model. *)
+
+val remote_free : Sched.thread -> objects:int -> home:int -> unit
+(** [objects] returned to the remote owner [home]: counts them in
+    [remote_frees] and emits a [Remote_free] instant. The one writing site
+    of that fact for every model. *)
+
 (** Zero-allocation flush-batch grouping. A [Grouper.t] is a set of
     per-allocator scratch buffers, reused across flushes, that sorts a batch
     of handles by home bin (stable on insertion order) — the order a flush

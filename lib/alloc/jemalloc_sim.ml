@@ -124,12 +124,7 @@ let return_to_bins t (th : Sched.thread) cls src n ~scan =
     for j = start to start + len - 1 do
       Vec.push bin.freelist (Alloc_intf.Grouper.handle g j)
     done;
-    if arena <> my_arena then begin
-      th.Sched.metrics.Metrics.remote_frees <- th.Sched.metrics.Metrics.remote_frees + len;
-      if Tracer.enabled tr then
-        Tracer.instant tr Tracer.Remote_free ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:len
-          ~b:home
-    end;
+    if arena <> my_arena then Alloc_intf.remote_free th ~objects:len ~home;
     Sim_mutex.unlock bin.lock th;
     remaining := !remaining - len
   done;
@@ -142,9 +137,7 @@ let flush_down t (th : Sched.thread) cls ~keep =
   let tc = t.tcache.(th.Sched.tid).(cls) in
   let n = Vec.length tc - keep in
   if n > 0 then begin
-    th.Sched.metrics.Metrics.flushes <- th.Sched.metrics.Metrics.flushes + 1;
-    Tracer.instant (Sched.tracer th.Sched.sched) Tracer.Overflow ~tid:th.Sched.tid
-      ~ts:(Sched.now th) ~a:n ~b:cls;
+    Alloc_intf.overflow th ~objects:n ~cls;
     return_to_bins t th cls tc n ~scan:t.cost.Cost_model.flush_scan_per_object
   end
 
@@ -183,10 +176,8 @@ let batch_aware_free t (th : Sched.thread) h =
   let cls = Obj_table.size_class t.table h in
   let len = cache t th cls h in
   if len > t.config.tcache_cap then begin
-    th.Sched.metrics.Metrics.flushes <- th.Sched.metrics.Metrics.flushes + 1;
     let n = Int.min chunk len in
-    Tracer.instant (Sched.tracer th.Sched.sched) Tracer.Overflow ~tid:th.Sched.tid
-      ~ts:(Sched.now th) ~a:n ~b:cls;
+    Alloc_intf.overflow th ~objects:n ~cls;
     spill t th cls n
   end;
   drain t th cls

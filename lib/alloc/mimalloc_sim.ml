@@ -103,10 +103,7 @@ let raw_free t (th : Sched.thread) h =
       Vec.push t.slots.(p.owner).(p.cls).pending p.id
     end;
     Sim_mutex.unlock p.lock th;
-    th.Sched.metrics.Metrics.remote_frees <- th.Sched.metrics.Metrics.remote_frees + 1;
-    let tr = Sched.tracer th.Sched.sched in
-    if Tracer.enabled tr then
-      Tracer.instant tr Tracer.Remote_free ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:1 ~b:p.id
+    Alloc_intf.remote_free th ~objects:1 ~home:p.id
   end
 
 (* Collect cross-thread free lists of owned pages flagged as non-empty. *)

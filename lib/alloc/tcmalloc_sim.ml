@@ -62,11 +62,8 @@ let flush_down t (th : Sched.thread) cls ~keep =
     let tr = Sched.tracer th.Sched.sched in
     let t0 = Sched.now th in
     th.Sched.in_flush <- true;
-    th.Sched.metrics.Metrics.flushes <- th.Sched.metrics.Metrics.flushes + 1;
-    if Tracer.enabled tr then begin
-      Tracer.instant tr Tracer.Overflow ~tid:th.Sched.tid ~ts:t0 ~a:n_flush ~b:cls;
-      Tracer.flush_begin tr ~tid:th.Sched.tid ~ts:t0 ~a:n_flush
-    end;
+    Alloc_intf.overflow th ~objects:n_flush ~cls;
+    Tracer.flush_begin tr ~tid:th.Sched.tid ~ts:t0 ~a:n_flush;
     let central = t.central.(cls) in
     Sim_mutex.lock central.lock th;
     Sched.work th Metrics.Flush (splice_fixed + (n_flush * splice_per_object));
@@ -77,10 +74,7 @@ let flush_down t (th : Sched.thread) cls ~keep =
       Vec.push central.freelist (Vec.get tc i)
     done;
     Vec.drop_front tc n_flush;
-    th.Sched.metrics.Metrics.remote_frees <- th.Sched.metrics.Metrics.remote_frees + n_flush;
-    if Tracer.enabled tr then
-      Tracer.instant tr Tracer.Remote_free ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:n_flush
-        ~b:cls;
+    Alloc_intf.remote_free th ~objects:n_flush ~home:cls;
     Sim_mutex.unlock central.lock th;
     th.Sched.in_flush <- false;
     Tracer.flush_end tr ~tid:th.Sched.tid ~ts:(Sched.now th)

@@ -43,7 +43,6 @@ type t = {
   trials : int;
   validate : bool;  (* enable the grace-period safety validator *)
   timeline : bool;  (* record timeline graphs *)
-  timeline_min_free_ns : int;  (* smallest free call recorded as a box *)
   af_drain : int;  (* objects freed per op under amortized freeing *)
   token_period : int;  (* Periodic Token-EBR check interval (paper: 100) *)
   buffer_size : int;
@@ -77,7 +76,6 @@ let default =
     trials = 3;
     validate = false;
     timeline = false;
-    timeline_min_free_ns = 1_000;
     af_drain = 1;
     token_period = 100;
     buffer_size = 384;
@@ -176,9 +174,10 @@ let churn_of_spec spec =
    least 1 too: a token period of 0 divides by zero, and a buffer size or
    DEBRA check interval of 0 quietly runs a pass or a scan every op. The
    insert and delete shares are fractions whose sum is at most 1, a Zipf
-   exponent is a number >= 0, and the warmup and the timeline's smallest
-   free call are durations >= 0; out of range, each runs a silently
-   different workload. A churn plan must name a real thread or socket and
+   exponent is a number >= 0, and the warmup and the grace past the
+   deadline are durations >= 0; out of range, each runs a silently
+   different workload (a negative grace puts the hard deadline inside the
+   measured window). A churn plan must name a real thread or socket and
    no time before the start of the measured window. Otherwise it would
    silently retire nobody, the wrong threads, or everyone. Manifests
    ([of_json]), the CLI and [churn_schedule] all go through here. *)
@@ -246,7 +245,7 @@ let check cfg =
           Some (Printf.sprintf "key_dist zipf %g is out of range; it must be >= 0" theta)
       | Zipf _ | Uniform -> None);
       negative "warmup_ns" cfg.warmup_ns;
-      negative "timeline_min_free_ns" cfg.timeline_min_free_ns;
+      negative "grace_ns" cfg.grace_ns;
     ]
   in
   match (List.find_map Fun.id fields, cfg.churn) with
@@ -311,7 +310,6 @@ let to_json cfg =
       ("trials", Json.Int cfg.trials);
       ("validate", Json.Bool cfg.validate);
       ("timeline", Json.Bool cfg.timeline);
-      ("timeline_min_free_ns", Json.Int cfg.timeline_min_free_ns);
       ("af_drain", Json.Int cfg.af_drain);
       ("token_period", Json.Int cfg.token_period);
       ("buffer_size", Json.Int cfg.buffer_size);
@@ -342,7 +340,6 @@ let of_json ?(base = default) j =
     | "trials" -> { cfg with trials = Json.to_int v }
     | "validate" -> { cfg with validate = Json.to_bool v }
     | "timeline" -> { cfg with timeline = Json.to_bool v }
-    | "timeline_min_free_ns" -> { cfg with timeline_min_free_ns = Json.to_int v }
     | "af_drain" -> { cfg with af_drain = Json.to_int v }
     | "token_period" -> { cfg with token_period = Json.to_int v }
     | "buffer_size" -> { cfg with buffer_size = Json.to_int v }

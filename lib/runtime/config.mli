@@ -40,7 +40,6 @@ type t = {
   trials : int;
   validate : bool;  (** arm the grace-period safety validator *)
   timeline : bool;  (** record timeline graphs *)
-  timeline_min_free_ns : int;
   af_drain : int;  (** objects freed per op under amortized freeing *)
   token_period : int;  (** Periodic Token-EBR check interval (paper: 100) *)
   buffer_size : int;
@@ -73,7 +72,10 @@ val check : t -> (unit, string) result
     {!Smr.Smr_registry.parse} strips an ["_af"] suffix) and [alloc] must be
     registered names ({!Ds.Ds_registry.names}, {!Smr.Smr_registry.names},
     {!Alloc.Registry.names}); [threads], [key_range], [duration_ns],
-    [trials] and [af_drain] must be [>= 1]. The [Error] starts with the
+    [trials], [af_drain], [token_period], [buffer_size] and
+    [debra_check_every] must be [>= 1]; [insert_pct] and [delete_pct] lie
+    in [\[0, 1\]] with a sum of at most 1, a Zipf exponent is [>= 0], and
+    [warmup_ns] and [grace_ns] are [>= 0]. The [Error] starts with the
     field's name, then its value, and an unknown name's [Error] lists the
     valid names. Then the churn plan, if any, is checked
     against the run: [first_ns], [every_ns] and [at_ns] must be [>= 0], a

@@ -31,6 +31,10 @@ let make_sampler (cfg : Config.t) =
       let scatter r = r * 2654435761 land max_int mod n in
       fun (th : Sched.thread) -> scatter (Sampler.sample table th.Sched.rng)
 
+(* The free timeline draws a box for each free call of at least 1 us:
+   shorter ones are the fast path, too many and too thin to see. *)
+let timeline_min_free_ns = 1_000
+
 (* One operation of the measured workload. *)
 let do_op (cfg : Config.t) (smr : Smr.Smr_intf.t) (ds : Ds.Ds_intf.t) safety per_node_scaled
     sample (th : Sched.thread) =
@@ -111,7 +115,7 @@ let run_trial ?(tracer = Tracer.disabled) (cfg : Config.t) ~seed =
   in
   let tl_free =
     if cfg.Config.timeline then
-      Some (Timeline.create ~min_event_ns:cfg.Config.timeline_min_free_ns ~n ())
+      Some (Timeline.create ~min_event_ns:timeline_min_free_ns ~n ())
     else None
   in
   let garbage = { by_epoch = Hashtbl.create 64 } in

@@ -4,16 +4,16 @@
    library renders it to Chrome trace JSON and recomputes the perf-style
    profile from it). The scheduler, the virtual mutex, the allocator models
    and the SMR cores emit span and instant events here; the recorder is a
-   preallocated struct-of-int-arrays ring buffer so that
+   preallocated struct-of-arrays ring buffer so that
 
    - when tracing is disabled (the [disabled] sentinel, the default on every
      scheduler) an emission is a single branch on an immutable flag: zero
      minor-heap words, zero virtual-time effect;
-   - when tracing is enabled an emission is six int stores into preallocated
-     arrays — still allocation-free, so enabling a trace cannot perturb the
-     host-performance trajectory, and by construction it never touches a
-     thread's clock or metrics, so virtual-time results are bit-identical
-     with tracing on or off.
+   - when tracing is enabled an emission is six immediate stores into
+     preallocated arrays — still allocation-free, so enabling a trace
+     cannot perturb the host-performance trajectory, and by construction
+     it never touches a thread's clock or metrics, so virtual-time results
+     are bit-identical with tracing on or off.
 
    Events carry two generic int payloads [a]/[b]; their meaning is
    per-kind (documented on [kind] in the mli). Lock events reference their
@@ -23,8 +23,12 @@
 
    Overflow policy: the ring keeps the newest [capacity] events and counts
    the overwritten ones in [dropped]. Cross-validation against the metrics
-   counters requires [dropped = 0]; the profiler refuses partial traces. *)
+   counters requires [dropped = 0]; the profile of a partial trace warns
+   that its sums are partial. *)
 
+(* Every constructor is constant, so a [kind] is an immediate value: the
+   ring stores kinds as themselves, and a [kind array] store compiles to a
+   plain int store with no write barrier. *)
 type kind =
   | Run  (* span: thread executing between checkpoints *)
   | Stall  (* span: controller-injected stall (model checking) *)
@@ -53,63 +57,6 @@ type kind =
   | Thread_retire  (* instant: a thread retired; its teardown chain follows *)
   | Teardown_flush  (* span: one teardown cache flush / adoption pass;
                        a = objects moved out of the dying thread's caches *)
-
-(* Stable numeric codes. 20, 23 and 24 are unassigned; a kind's code never
-   changes. *)
-let code = function
-  | Run -> 0
-  | Stall -> 1
-  | Preempt -> 2
-  | Lock_wait -> 3
-  | Lock_acquire -> 4
-  | Lock_hold -> 5
-  | Free_call -> 6
-  | Flush -> 7
-  | Overflow -> 8
-  | Refill -> 9
-  | Remote_free -> 10
-  | Reclaim -> 11
-  | Splice -> 12
-  | Af_drain -> 13
-  | Epoch_advance -> 14
-  | Epoch_garbage -> 15
-  | Retire -> 16
-  | Measure_start -> 17
-  | Thread_end -> 18
-  | Yield -> 19
-  | Hp_protect -> 21
-  | Hp_scan -> 22
-  | Thread_spawn -> 25
-  | Thread_retire -> 26
-  | Teardown_flush -> 27
-
-let of_code = function
-  | 0 -> Run
-  | 1 -> Stall
-  | 2 -> Preempt
-  | 3 -> Lock_wait
-  | 4 -> Lock_acquire
-  | 5 -> Lock_hold
-  | 6 -> Free_call
-  | 7 -> Flush
-  | 8 -> Overflow
-  | 9 -> Refill
-  | 10 -> Remote_free
-  | 11 -> Reclaim
-  | 12 -> Splice
-  | 13 -> Af_drain
-  | 14 -> Epoch_advance
-  | 15 -> Epoch_garbage
-  | 16 -> Retire
-  | 17 -> Measure_start
-  | 18 -> Thread_end
-  | 19 -> Yield
-  | 21 -> Hp_protect
-  | 22 -> Hp_scan
-  | 25 -> Thread_spawn
-  | 26 -> Thread_retire
-  | 27 -> Teardown_flush
-  | _ -> invalid_arg "Tracer.of_code: unknown kind"
 
 let kind_name = function
   | Run -> "run"
@@ -141,7 +88,7 @@ let kind_name = function
 type t = {
   enabled : bool;
   capacity : int;
-  kind_c : int array;
+  kind_c : kind array;
   tid_c : int array;
   ts_c : int array;
   dur_c : int array;  (* -1 marks an instant *)
@@ -182,7 +129,7 @@ let create ?(capacity = 1 lsl 20) () =
   {
     enabled = true;
     capacity;
-    kind_c = Array.make capacity 0;
+    kind_c = Array.make capacity Run;
     tid_c = Array.make capacity 0;
     ts_c = Array.make capacity 0;
     dur_c = Array.make capacity 0;
@@ -208,8 +155,8 @@ let clear t =
   Array.fill t.free_open 0 (Array.length t.free_open) min_int;
   Array.fill t.flush_open 0 (Array.length t.flush_open) min_int
 
-(* The raw store: six int writes, no bounds checks needed beyond the ring
-   index, no allocation. *)
+(* The raw store: six immediate writes, no bounds checks needed beyond the
+   ring index, no allocation. *)
 let record t k ~tid ~ts ~dur ~a ~b =
   let i = t.recorded mod t.capacity in
   Array.unsafe_set t.kind_c i k;
@@ -223,10 +170,10 @@ let record t k ~tid ~ts ~dur ~a ~b =
 let span t k ~tid ~ts ~dur ~a ~b =
   if t.enabled then begin
     if dur < 0 then invalid_arg "Tracer.span: negative duration";
-    record t (code k) ~tid ~ts ~dur ~a ~b
+    record t k ~tid ~ts ~dur ~a ~b
   end
 
-let instant t k ~tid ~ts ~a ~b = if t.enabled then record t (code k) ~tid ~ts ~dur:(-1) ~a ~b
+let instant t k ~tid ~ts ~a ~b = if t.enabled then record t k ~tid ~ts ~dur:(-1) ~a ~b
 
 let intern t s =
   match Hashtbl.find_opt t.intern_tbl s with
@@ -260,7 +207,7 @@ let attach t ~n_threads =
 let run_span t ~tid ~now =
   if t.enabled && tid < Array.length t.last_run then begin
     let last = Array.unsafe_get t.last_run tid in
-    if now > last then record t (code Run) ~tid ~ts:last ~dur:(now - last) ~a:0 ~b:0;
+    if now > last then record t Run ~tid ~ts:last ~dur:(now - last) ~a:0 ~b:0;
     Array.unsafe_set t.last_run tid now
   end
 
@@ -279,7 +226,7 @@ let free_begin t ~tid ~ts =
 let free_end t ~tid ~ts =
   if t.enabled && tid < Array.length t.free_open then begin
     let s = Array.unsafe_get t.free_open tid in
-    if s <> min_int then record t (code Free_call) ~tid ~ts:s ~dur:(ts - s) ~a:0 ~b:0;
+    if s <> min_int then record t Free_call ~tid ~ts:s ~dur:(ts - s) ~a:0 ~b:0;
     Array.unsafe_set t.free_open tid min_int
   end
 
@@ -293,7 +240,7 @@ let flush_end t ~tid ~ts =
   if t.enabled && tid < Array.length t.flush_open then begin
     let s = Array.unsafe_get t.flush_open tid in
     if s <> min_int then
-      record t (code Flush) ~tid ~ts:s ~dur:(ts - s) ~a:(Array.unsafe_get t.flush_n tid) ~b:0;
+      record t Flush ~tid ~ts:s ~dur:(ts - s) ~a:(Array.unsafe_get t.flush_n tid) ~b:0;
     Array.unsafe_set t.flush_open tid min_int
   end
 
@@ -317,7 +264,7 @@ let iter t f =
     f
       {
         seq = s;
-        kind = of_code t.kind_c.(i);
+        kind = t.kind_c.(i);
         tid = t.tid_c.(i);
         ts = t.ts_c.(i);
         dur = t.dur_c.(i);
@@ -336,13 +283,13 @@ let events t =
 
 (* Content digest of the retained events + intern table: the determinism
    witness ("same config, same seed, same schedule => same trace"), stable
-   across host parallelism because it reads only recorded ints. *)
+   across host parallelism because it reads only recorded values. *)
 let digest t =
   let b = Buffer.create 4096 in
   Buffer.add_string b (string_of_int t.recorded);
   Buffer.add_char b '|';
   iter t (fun e ->
-      Buffer.add_string b (string_of_int (code e.kind));
+      Buffer.add_string b (kind_name e.kind);
       Buffer.add_char b ',';
       Buffer.add_string b (string_of_int e.tid);
       Buffer.add_char b ',';

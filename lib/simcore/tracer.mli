@@ -1,7 +1,7 @@
 (** Virtual-time event recorder: the storage layer of the tracing subsystem.
 
     The scheduler, {!Sim_mutex}, the allocator models and the SMR cores emit
-    span and instant events into a preallocated struct-of-int-arrays ring
+    span and instant events into a preallocated struct-of-arrays ring
     buffer. Emission never touches a thread's clock or metrics — virtual-time
     results are bit-identical with tracing on or off — and allocates nothing
     on the OCaml heap in either state; with the {!disabled} sentinel (the
@@ -21,7 +21,8 @@
     - [Free_call]: span of one allocator [free] call (inclusive, equals the
       [free_ns] attribution). [Flush]: span of an [in_flush] period, [a] =
       objects flushed. [Overflow]: instant at a cache-overflow event (the
-      [flushes] counter), [a] = batch size. [Refill]: span, [a] = objects.
+      [flushes] counter), [a] = batch size, [b] = size class. [Refill]:
+      span, [a] = objects.
       [Remote_free]: instant, [a] = objects returned to a remote owner
       (the [remote_frees] counter), [b] = destination home/bin.
     - [Reclaim]: span of an SMR free-bag pass, [a] = objects. [Splice]:
@@ -48,7 +49,10 @@
       when a thread retires, emitted before its teardown hook chain runs
       (the [thread_retires] counter). [Teardown_flush]: span of one
       teardown flush/adoption pass, [a] = objects moved out of the dying
-      thread's caches (summed into the [teardown_frees] counter). *)
+      thread's caches (summed into the [teardown_frees] counter).
+
+    Every constructor is constant, so the ring stores a kind as itself,
+    an immediate value, with no numeric code and no write barrier. *)
 type kind =
   | Run
   | Stall
@@ -75,12 +79,6 @@ type kind =
   | Thread_spawn
   | Thread_retire
   | Teardown_flush
-
-val code : kind -> int
-(** Stable numeric code of a kind; 20, 23 and 24 are unassigned. *)
-
-val of_code : int -> kind
-(** @raise Invalid_argument on an unassigned code. *)
 
 val kind_name : kind -> string
 
@@ -164,5 +162,6 @@ val iter : t -> (event -> unit) -> unit
 val events : t -> event array
 
 val digest : t -> string
-(** MD5 over the retained events and intern table: identical for identical
-    schedules, the trace-determinism witness. *)
+(** MD5 over the retained events (each kind by its {!kind_name}) and the
+    intern table: identical for identical schedules, the trace-determinism
+    witness. *)

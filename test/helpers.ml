@@ -51,3 +51,76 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
+
+(* --- trace replay cross-check ------------------------------------------- *)
+
+(* The counters [Simtrace.Profile] replays from a trace. *)
+let replayed_counters =
+  [
+    ("total_ns", fun m -> m.Metrics.total_ns);
+    ("free_ns", fun m -> m.Metrics.free_ns);
+    ("flush_ns", fun m -> m.Metrics.flush_ns);
+    ("lock_ns", fun m -> m.Metrics.lock_ns);
+    ("frees", fun m -> m.Metrics.frees);
+    ("flushes", fun m -> m.Metrics.flushes);
+    ("remote_frees", fun m -> m.Metrics.remote_frees);
+    ("epochs", fun m -> m.Metrics.epochs);
+    ("retires", fun m -> m.Metrics.retires);
+    ("yields", fun m -> m.Metrics.yields);
+    ("elided_yields", fun m -> m.Metrics.elided_yields);
+    ("hp_scans", fun m -> m.Metrics.hp_scans);
+    ("hp_protect_retries", fun m -> m.Metrics.hp_protect_retries);
+    ("thread_spawns", fun m -> m.Metrics.thread_spawns);
+    ("thread_retires", fun m -> m.Metrics.thread_retires);
+    ("teardown_frees", fun m -> m.Metrics.teardown_frees);
+  ]
+
+(* What a run counted, to hold its trace's replay against: a runner trial
+   (its windowed results), or the threads of a raw simulation, whose
+   summed counters cover the whole run. *)
+type counted = Trial of Runtime.Trial.t | Threads of Sched.t
+
+(* The trace/metrics cross-check: replay [tracer] into a profile and check
+   it bit-exactly against what the run counted. A raw simulation is
+   checked on every replayed counter. A trial records fewer: its three
+   shares, read through the runner's [Metrics.pct_*], its counters, and
+   its per-epoch garbage trace. *)
+let cross_check label counted tracer =
+  let p = Simtrace.Profile.of_tracer tracer in
+  let m = p.Simtrace.Profile.metrics in
+  let chk name = Alcotest.(check int) (label ^ ": " ^ name) in
+  chk "dropped" 0 p.Simtrace.Profile.dropped;
+  (match counted with
+  | Threads sched ->
+      let sum = Metrics.create () in
+      Array.iter
+        (fun (th : Sched.thread) -> Metrics.merge sum th.Sched.metrics)
+        (Sched.threads sched);
+      List.iter (fun (name, f) -> chk name (f sum) (f m)) replayed_counters
+  | Trial t ->
+      List.iter
+        (fun (name, share, pct) ->
+          Alcotest.(check (float 0.)) (label ^ ": " ^ name) share (pct m))
+        [
+          ("pct_free", t.Runtime.Trial.pct_free, Metrics.pct_free);
+          ("pct_flush", t.Runtime.Trial.pct_flush, Metrics.pct_flush);
+          ("pct_lock", t.Runtime.Trial.pct_lock, Metrics.pct_lock);
+        ];
+      List.iter
+        (fun (name, counted, replayed) -> chk name counted replayed)
+        [
+          ("frees", t.Runtime.Trial.freed, m.Metrics.frees);
+          ("retires", t.Runtime.Trial.retired, m.Metrics.retires);
+          ("flushes", t.Runtime.Trial.flushes, m.Metrics.flushes);
+          ("remote_frees", t.Runtime.Trial.remote_frees, m.Metrics.remote_frees);
+          ("epochs", t.Runtime.Trial.epochs, m.Metrics.epochs);
+          ("thread_spawns", t.Runtime.Trial.thread_spawns, m.Metrics.thread_spawns);
+          ("thread_retires", t.Runtime.Trial.thread_retires, m.Metrics.thread_retires);
+          ("teardown_frees", t.Runtime.Trial.teardown_frees, m.Metrics.teardown_frees);
+          ("peak_epoch_garbage", t.Runtime.Trial.peak_epoch_garbage,
+            p.Simtrace.Profile.peak_epoch_garbage);
+        ];
+      Alcotest.(check (list (pair int int)))
+        (label ^ ": garbage_by_epoch") t.Runtime.Trial.garbage_by_epoch
+        p.Simtrace.Profile.garbage_by_epoch);
+  p

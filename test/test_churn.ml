@@ -302,14 +302,7 @@ let test_churn_metrics_match_trace () =
   let tracer = Tracer.create ~capacity:(1 lsl 20) () in
   let cfg = { churn_cfg with Runtime.Config.trials = 1 } in
   let t = Runtime.Runner.run_trial ~tracer cfg ~seed:11 in
-  let p = Simtrace.Profile.of_tracer tracer in
-  Alcotest.(check int) "no dropped events" 0 p.Simtrace.Profile.dropped;
-  Alcotest.(check int) "spawns match trace" t.Runtime.Trial.thread_spawns
-    p.Simtrace.Profile.thread_spawns;
-  Alcotest.(check int) "retires match trace" t.Runtime.Trial.thread_retires
-    p.Simtrace.Profile.thread_retires;
-  Alcotest.(check int) "teardown frees match trace" t.Runtime.Trial.teardown_frees
-    p.Simtrace.Profile.teardown_frees;
+  ignore (Helpers.cross_check "churn" (Helpers.Trial t) tracer : Simtrace.Profile.t);
   Alcotest.(check bool) "nonzero churn" true (t.Runtime.Trial.thread_retires > 0)
 
 (* --- plans that name no real thread, socket or time ------------------ *)

@@ -100,11 +100,6 @@ let test_config_round_trip () =
         cfg'.Runtime.Config.duration_ns
   | Error msg -> Alcotest.fail msg
 
-let test_config_rejects_unknown_field () =
-  match Runtime.Config.of_json (Json.Assoc [ ("treads", Json.Int 8) ]) with
-  | Ok _ -> Alcotest.fail "accepted a typo'd field"
-  | Error msg -> Alcotest.(check bool) "names the field" true (Helpers.contains msg "treads")
-
 (* A config or a suite entry the run cannot honour is refused, and the
    [Error] names what it refuses: [named] must appear in the message. *)
 let refused ~named what = function
@@ -128,6 +123,9 @@ let refused_both ~named fields =
   refused ~named "manifest" manifest;
   refused ~named:"entry \"e\"" "manifest" manifest
 
+(* A typo'd field is refused by name. *)
+let test_config_rejects_unknown_field () = refused_both ~named:"treads" [ ("treads", Json.Int 8) ]
+
 (* A run needs at least one thread, key, virtual ns of window and trial.
    With fewer it crashes inside the simulator or reports a throughput over
    an empty window; amortized freeing with [af_drain] below one frees
@@ -141,9 +139,9 @@ let config_rejects_below_one field () =
     [ 0; -3 ]
 
 (* The operation mix is two fractions whose sum is at most 1, a Zipf
-   exponent is a number >= 0, and the warmup and the timeline's smallest
-   recorded free are durations >= 0. Outside these ranges a run used to
-   go ahead with a silently different workload; now a config or a suite
+   exponent is a number >= 0, and the warmup and the grace past the
+   deadline are durations >= 0. Outside these ranges a run used to go
+   ahead with a silently different workload; now a config or a suite
    entry is refused, naming the field and its value. *)
 let config_rejects cases () =
   List.iter (fun (named, fields) -> refused_both ~named fields) cases
@@ -157,7 +155,7 @@ let test_config_accepts_range_edges () =
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "refused an edge of its range: %s" msg)
     [
-      [ ("warmup_ns", Json.Int 0); ("timeline_min_free_ns", Json.Int 0) ];
+      [ ("warmup_ns", Json.Int 0); ("grace_ns", Json.Int 0) ];
       [ ("insert_pct", Json.Float 0.); ("delete_pct", Json.Float 0.) ];
       [ ("insert_pct", Json.Float 1.); ("delete_pct", Json.Float 0.) ];
       [ ("insert_pct", Json.Float 0.); ("delete_pct", Json.Float 1.) ];
@@ -354,9 +352,16 @@ let suite =
            ]);
       Helpers.quick "config_rejects_warmup_ns_below_0"
         (config_rejects [ ("warmup_ns -5", [ ("warmup_ns", Json.Int (-5)) ]) ]);
+      Helpers.quick "config_rejects_grace_ns_below_0"
+        (config_rejects [ ("grace_ns -3000000", [ ("grace_ns", Json.Int (-3_000_000)) ]) ]);
+      (* [timeline_min_free_ns] is no longer a field (the runner's 1 us
+         constant): a config naming it, negative or not, is refused by name. *)
       Helpers.quick "config_rejects_timeline_min_free_ns_below_0"
         (config_rejects
-           [ ("timeline_min_free_ns -1", [ ("timeline_min_free_ns", Json.Int (-1)) ]) ]);
+           [
+             ("timeline_min_free_ns", [ ("timeline_min_free_ns", Json.Int (-1)) ]);
+             ("timeline_min_free_ns", [ ("timeline_min_free_ns", Json.Int 1_000) ]);
+           ]);
       Helpers.quick "config_accepts_range_edges" test_config_accepts_range_edges;
       Helpers.quick "config_rejects_unknown_names" test_config_rejects_unknown_names;
       Helpers.quick "config_accepts_1_for_each_field" test_config_accepts_one;

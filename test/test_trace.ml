@@ -2,10 +2,10 @@
    the load-bearing guarantee — cross-validation of the trace-derived
    perf-style profile against the Simcore.Metrics counters, bit-exactly.
 
-   The profile recomputes %free/%flush/%lock and the flush / remote-free /
-   epoch counters from the event stream alone; equality with the Trial's
-   numbers (which come from the metric counters) means the two independent
-   accounting paths agree on every traced run. *)
+   The profile replays the event stream alone into Metrics counters;
+   equality with the counters the run kept (a Trial's results, or a raw
+   simulation's threads) means the two independent accounting paths agree
+   on every traced run. [Helpers.cross_check] is the one comparison. *)
 
 open Simcore
 
@@ -33,26 +33,6 @@ let run_traced ?(capacity = 1 lsl 20) cfg =
   let trial = Runtime.Runner.run_trial ~tracer cfg ~seed:cfg.Runtime.Config.seed in
   (trial, tracer)
 
-let exact_float = Alcotest.float 0.
-
-(* The cross-validation contract: every profile number that has a metrics
-   counterpart must match it bit-exactly. *)
-let check_cross label (trial : Runtime.Trial.t) tracer =
-  let p = Simtrace.Profile.of_tracer tracer in
-  let chk name = Alcotest.(check int) (label ^ ": " ^ name) in
-  chk "dropped" 0 p.Simtrace.Profile.dropped;
-  Alcotest.(check exact_float)
-    (label ^ ": pct_free") trial.Runtime.Trial.pct_free p.Simtrace.Profile.pct_free;
-  Alcotest.(check exact_float)
-    (label ^ ": pct_flush") trial.Runtime.Trial.pct_flush p.Simtrace.Profile.pct_flush;
-  Alcotest.(check exact_float)
-    (label ^ ": pct_lock") trial.Runtime.Trial.pct_lock p.Simtrace.Profile.pct_lock;
-  chk "frees" trial.Runtime.Trial.freed p.Simtrace.Profile.frees;
-  chk "flushes" trial.Runtime.Trial.flushes p.Simtrace.Profile.flushes;
-  chk "remote_frees" trial.Runtime.Trial.remote_frees p.Simtrace.Profile.remote_frees;
-  chk "epochs" trial.Runtime.Trial.epochs p.Simtrace.Profile.epochs;
-  p
-
 (* --- cross-validation on suite entries ------------------------------- *)
 
 let suite_entry id =
@@ -67,7 +47,7 @@ let test_cross_suite_entries () =
     (fun id ->
       let e = suite_entry id in
       let trial, tracer = run_traced e.Regress.Suite.config in
-      ignore (check_cross id trial tracer))
+      ignore (Helpers.cross_check id (Helpers.Trial trial) tracer : Simtrace.Profile.t))
     [ "ll-ebr-n1"; "ll-ebr-af-n8"; "ll-token-af-n1" ]
 
 (* --- cross-validation per allocator model ---------------------------- *)
@@ -76,18 +56,19 @@ let test_cross_allocators () =
   List.iter
     (fun alloc ->
       let trial, tracer = run_traced (small_cfg ~alloc ()) in
-      ignore (check_cross alloc trial tracer))
+      ignore (Helpers.cross_check alloc (Helpers.Trial trial) tracer : Simtrace.Profile.t))
     [ "jemalloc"; "jemalloc-ba"; "tcmalloc"; "mimalloc"; "leak"; "jemalloc-pool" ]
 
 (* The flush-heavy jemalloc entry must actually exercise the traced paths —
    a cross-check over all-zero counters would prove nothing. *)
 let test_cross_exercises_paths () =
   let trial, tracer = run_traced (small_cfg ~threads:8 ()) in
-  let p = check_cross "jemalloc-n8" trial tracer in
-  Alcotest.(check bool) "frees > 0" true (p.Simtrace.Profile.frees > 0);
-  Alcotest.(check bool) "flushes > 0" true (p.Simtrace.Profile.flushes > 0);
-  Alcotest.(check bool) "lock_ns > 0" true (p.Simtrace.Profile.lock_ns > 0);
-  Alcotest.(check bool) "epochs > 0" true (p.Simtrace.Profile.epochs > 0)
+  let p = Helpers.cross_check "jemalloc-n8" (Helpers.Trial trial) tracer in
+  let m = p.Simtrace.Profile.metrics in
+  Alcotest.(check bool) "frees > 0" true (m.Metrics.frees > 0);
+  Alcotest.(check bool) "flushes > 0" true (m.Metrics.flushes > 0);
+  Alcotest.(check bool) "lock_ns > 0" true (m.Metrics.lock_ns > 0);
+  Alcotest.(check bool) "epochs > 0" true (m.Metrics.epochs > 0)
 
 (* --- determinism ------------------------------------------------------ *)
 
@@ -126,9 +107,8 @@ let test_tracing_is_invisible () =
 (* --- yield counters ------------------------------------------------- *)
 
 (* The scheduler's yield accounting has no Trial counterpart (it is not part
-   of the canonical results), so cross-check the trace-derived counts
-   against the Metrics counters directly on a raw simulation — the same
-   two-independent-paths contract as check_cross. *)
+   of the canonical results), so cross-check the replay against the
+   Metrics counters directly on a raw simulation. *)
 let test_cross_yield_counters () =
   let tracer = Tracer.create () in
   let sched = Helpers.make_sched ~n:96 ~seed:5 () in
@@ -142,20 +122,15 @@ let test_cross_yield_counters () =
           done))
     (Sched.threads sched);
   Sched.run sched;
-  let sum f = Array.fold_left (fun acc th -> acc + f th.Sched.metrics) 0 (Sched.threads sched) in
-  let p = Simtrace.Profile.of_tracer tracer in
-  Alcotest.(check int) "yields" (sum (fun m -> m.Metrics.yields)) p.Simtrace.Profile.yields;
-  Alcotest.(check int) "elided_yields"
-    (sum (fun m -> m.Metrics.elided_yields))
-    p.Simtrace.Profile.elided_yields;
-  Alcotest.(check bool) "yields recorded" true (p.Simtrace.Profile.yields > 0)
+  let p = Helpers.cross_check "yields" (Helpers.Threads sched) tracer in
+  Alcotest.(check bool) "yields recorded" true (p.Simtrace.Profile.metrics.Metrics.yields > 0)
 
 (* --- hazard-pointer counters ------------------------------------------ *)
 
 (* The hazard-pointer counters (scans, protect retries) have no Trial
-   counterpart either, so cross-check the trace-derived counts against the
-   Metrics counters directly on a raw retire-heavy workload under the
-   hazard reclaimer. Scans double as reclamation passes ([epochs]), so that
+   counterpart either, so cross-check the replay against the Metrics
+   counters directly on a raw retire-heavy workload under the hazard
+   reclaimer. Scans double as reclamation passes ([epochs]), so that
    equality is asserted too. *)
 let test_cross_hp_counters () =
   let ctx, sched = Helpers.make_ctx ~n:4 () in
@@ -179,17 +154,11 @@ let test_cross_hp_counters () =
           | None -> ()))
     (Sched.threads sched);
   Sched.run sched;
-  let sum f = Array.fold_left (fun acc th -> acc + f th.Sched.metrics) 0 (Sched.threads sched) in
-  let p = Simtrace.Profile.of_tracer tracer in
-  let chk = Alcotest.(check int) in
-  chk "hp_scans" (sum (fun m -> m.Metrics.hp_scans)) p.Simtrace.Profile.hp_scans;
-  chk "hp_protect_retries"
-    (sum (fun m -> m.Metrics.hp_protect_retries))
-    p.Simtrace.Profile.hp_protect_retries;
-  chk "scans are the reclaimer's passes" (sum (fun m -> m.Metrics.epochs))
-    p.Simtrace.Profile.hp_scans;
-  Alcotest.(check bool) "scans recorded" true (p.Simtrace.Profile.hp_scans > 0);
-  Alcotest.(check bool) "retries recorded" true (p.Simtrace.Profile.hp_protect_retries > 0);
+  let p = Helpers.cross_check "hazard" (Helpers.Threads sched) tracer in
+  let m = p.Simtrace.Profile.metrics in
+  Alcotest.(check int) "scans are the reclaimer's passes" m.Metrics.epochs m.Metrics.hp_scans;
+  Alcotest.(check bool) "scans recorded" true (m.Metrics.hp_scans > 0);
+  Alcotest.(check bool) "retries recorded" true (m.Metrics.hp_protect_retries > 0);
   Alcotest.(check bool) "reclaimable objects recorded" true (p.Simtrace.Profile.hp_freed > 0);
   Alcotest.(check bool) "scan time recorded" true (p.Simtrace.Profile.hp_scan_ns > 0);
   match Smr.Safety.violations (Option.get ctx.Smr.Smr_intf.safety) with
@@ -198,12 +167,12 @@ let test_cross_hp_counters () =
 
 (* --- retires and epochs, for every reclaimer --------------------------- *)
 
-(* Every registered reclaimer, batch and amortized, counts a retire in
-   [metrics.retires] and traces it as a [Retire] instant, and traces each
-   epoch it counts in [metrics.epochs] as an [Epoch_advance] instant: 4
-   threads x 200 retires each, raw, so the property does not depend on
-   what a data structure retires. A buffer of 16 makes the buffered family
-   and hazard pointers run passes. *)
+(* Every registered reclaimer, batch and amortized, traces each retire it
+   counts in [metrics.retires] as a [Retire] instant, and each epoch it
+   counts in [metrics.epochs] as an [Epoch_advance] instant, so the replay
+   matches every counter: 4 threads x 200 retires each, raw, so the
+   property does not depend on what a data structure retires. A buffer of
+   16 makes the buffered family and hazard pointers run passes. *)
 let test_cross_retires_every_reclaimer () =
   List.iter
     (fun (name, mode) ->
@@ -223,45 +192,15 @@ let test_cross_retires_every_reclaimer () =
               done))
         (Sched.threads sched);
       Sched.run sched;
-      let sum f = Array.fold_left (fun acc th -> acc + f th.Sched.metrics) 0 (Sched.threads sched) in
-      let traced kind =
-        let n = ref 0 in
-        Tracer.iter tracer (fun e -> if e.Tracer.kind = kind then incr n);
-        !n
-      in
-      let retires = sum (fun m -> m.Metrics.retires) in
-      Alcotest.(check int) (label ^ ": retires counted") 800 retires;
-      Alcotest.(check int) (label ^ ": retires traced") retires (traced Tracer.Retire);
-      let epochs = sum (fun m -> m.Metrics.epochs) in
-      Alcotest.(check int) (label ^ ": epochs traced") epochs (traced Tracer.Epoch_advance);
+      let m = (Helpers.cross_check label (Helpers.Threads sched) tracer).Simtrace.Profile.metrics in
+      Alcotest.(check int) (label ^ ": retires counted") 800 m.Metrics.retires;
       if not (List.mem name [ "none"; "unsafe-immediate" ]) then
-        Alcotest.(check bool) (label ^ ": epochs recorded") true (epochs > 0))
+        Alcotest.(check bool) (label ^ ": epochs recorded") true (m.Metrics.epochs > 0))
     (List.concat_map
        (fun name -> [ (name, Smr.Free_policy.Batch); (name, Smr.Free_policy.Amortized 1) ])
        Smr.Smr_registry.names)
 
 (* --- recorder unit behaviour ----------------------------------------- *)
-
-let all_kinds =
-  [
-    Tracer.Run; Tracer.Stall; Tracer.Preempt; Tracer.Lock_wait; Tracer.Lock_acquire;
-    Tracer.Lock_hold; Tracer.Free_call; Tracer.Flush; Tracer.Overflow; Tracer.Refill;
-    Tracer.Remote_free; Tracer.Reclaim; Tracer.Splice; Tracer.Af_drain;
-    Tracer.Epoch_advance; Tracer.Epoch_garbage; Tracer.Retire; Tracer.Measure_start;
-    Tracer.Thread_end; Tracer.Yield; Tracer.Hp_protect; Tracer.Hp_scan;
-    Tracer.Thread_spawn; Tracer.Thread_retire; Tracer.Teardown_flush;
-  ]
-
-let test_kind_codes_roundtrip () =
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) (Tracer.kind_name k) true (Tracer.of_code (Tracer.code k) = k))
-    all_kinds;
-  List.iter
-    (fun c ->
-      Alcotest.check_raises (Printf.sprintf "code %d is unassigned" c)
-        (Invalid_argument "Tracer.of_code: unknown kind") (fun () -> ignore (Tracer.of_code c)))
-    [ 20; 23; 24 ]
 
 let test_disabled_records_nothing () =
   Tracer.span Tracer.disabled Tracer.Run ~tid:0 ~ts:0 ~dur:5 ~a:0 ~b:0;
@@ -399,7 +338,6 @@ let suite =
       Helpers.quick "cross_yield_counters" test_cross_yield_counters;
       Helpers.quick "cross_hp_counters" test_cross_hp_counters;
       Helpers.quick "cross_retires_every_reclaimer" test_cross_retires_every_reclaimer;
-      Helpers.quick "kind_codes_roundtrip" test_kind_codes_roundtrip;
       Helpers.quick "disabled_records_nothing" test_disabled_records_nothing;
       Helpers.quick "negative_duration_rejected" test_negative_duration_rejected;
       Helpers.quick "ring_wraparound" test_ring_wraparound;
